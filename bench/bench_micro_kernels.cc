@@ -292,6 +292,26 @@ void BM_Aggregation(benchmark::State& state) {
 }
 BENCHMARK(BM_Aggregation)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+// The shape of an uncached served query: weighted Copeland + Local
+// Kemenization over 5 top-50 lists whose union is ~113 items (the traced
+// fresh-mixtures means are 5.0 lists and a 113.5-item union).
+void BM_AggregationServingShape(benchmark::State& state) {
+  Rng rng(12);
+  std::vector<rank::RankedList> lists;
+  std::vector<double> weights;
+  for (int j = 0; j < 5; ++j) {
+    lists.push_back(RandomList(50, 122, &rng));
+    weights.push_back(rng.Uniform(0.2, 1.0));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rank::AggregateRankings(lists, weights, 50, {}).ValueOrDie());
+  }
+  state.counters["union"] =
+      static_cast<double>(rank::UnionOfLists(lists).size());
+}
+BENCHMARK(BM_AggregationServingShape)->Unit(benchmark::kMicrosecond);
+
 // One measured configuration of the reference-vs-kernel comparison.
 struct KernelRow {
   size_t dim = 0;

@@ -9,6 +9,20 @@ namespace core {
 Result<std::vector<double>> ComputeImportanceWeights(
     const std::vector<bbtree::Neighbor>& neighbors,
     const WeightingOptions& options) {
+  double exp_kl_max = 0.0;  // e^KL_max of Eq. 9, the same for every neighbor
+  switch (options.function) {
+    case WeightFunction::kExponentialDecay:
+      if (!(options.exponential_scale > 0.0)) {
+        return Status::InvalidArgument("exponential_scale must be positive");
+      }
+      break;
+    case WeightFunction::kPaperEq9:
+      if (!(options.kl_max > 0.0)) {
+        return Status::InvalidArgument("kl_max must be positive");
+      }
+      exp_kl_max = std::exp(options.kl_max);
+      break;
+  }
   std::vector<double> weights;
   weights.reserve(neighbors.size());
   for (size_t i = 0; i < neighbors.size(); ++i) {
@@ -22,20 +36,12 @@ Result<std::vector<double>> ComputeImportanceWeights(
     }
     double w = 0.0;
     switch (options.function) {
-      case WeightFunction::kExponentialDecay: {
-        if (!(options.exponential_scale > 0.0)) {
-          return Status::InvalidArgument("exponential_scale must be positive");
-        }
+      case WeightFunction::kExponentialDecay:
         w = std::exp(-kl / options.exponential_scale);
         break;
-      }
       case WeightFunction::kPaperEq9: {
-        if (!(options.kl_max > 0.0)) {
-          return Status::InvalidArgument("kl_max must be positive");
-        }
         const double clamped = std::min(kl, options.kl_max);
-        w = (std::exp(options.kl_max) - std::exp(clamped)) /
-            (std::exp(options.kl_max) - 1.0);
+        w = (exp_kl_max - std::exp(clamped)) / (exp_kl_max - 1.0);
         break;
       }
     }

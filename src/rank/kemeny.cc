@@ -55,7 +55,7 @@ Result<RankedList> ExactKemenyAggregate(const std::vector<RankedList>& lists,
   std::vector<double> against(m * m, 0.0);
   for (size_t x = 0; x < m; ++x) {
     for (size_t y = 0; y < m; ++y) {
-      if (x != y) against[x * m + y] = pm.Preference(items[y], items[x]);
+      if (x != y) against[x * m + y] = pm.tally()(y, x);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace inflex {
 namespace rank {
@@ -16,14 +17,15 @@ Status ValidateRankedList(const RankedList& list) {
 }
 
 RankedList UnionOfLists(const std::vector<RankedList>& lists) {
+  size_t total = 0;
+  for (const auto& list : lists) total += list.size();
   RankedList u;
-  std::unordered_map<Item, bool> seen;
+  u.reserve(total);
+  std::unordered_set<Item> seen;
+  seen.reserve(total);
   for (const auto& list : lists) {
     for (Item v : list) {
-      if (!seen[v]) {
-        seen[v] = true;
-        u.push_back(v);
-      }
+      if (seen.insert(v).second) u.push_back(v);
     }
   }
   return u;

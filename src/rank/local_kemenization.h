@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "rank/preference_matrix.h"
 #include "rank/ranked_list.h"
 
 namespace inflex {
@@ -20,6 +21,11 @@ namespace rank {
 Status LocalKemenization(const std::vector<RankedList>& lists,
                          const std::vector<double>& weights,
                          RankedList* aggregated);
+
+/// The same insertion-sort pass over local ids of `tally`. Entries equal to
+/// PreferenceMatrix::npos stand for items outside U: the input lists never
+/// compare them, so they never move and nothing moves past them.
+void LocalKemenize(const PreferenceTally& tally, std::vector<size_t>* order);
 
 }  // namespace rank
 }  // namespace inflex

@@ -29,7 +29,7 @@ Result<std::vector<double>> Mc4StationaryDistribution(
     double stay = 0.0;
     for (size_t w = 0; w < m; ++w) {
       if (v == w) continue;
-      if (pm.MajorityPrefers(pm.items()[w], pm.items()[v])) {
+      if (pm.tally().Beats(w, v)) {
         transition[v * m + w] = proposal;
       } else {
         stay += proposal;

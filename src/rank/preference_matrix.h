@@ -2,6 +2,7 @@
 #define INFLEX_RANK_PREFERENCE_MATRIX_H_
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rank/ranked_list.h"
@@ -9,15 +10,58 @@
 namespace inflex {
 namespace rank {
 
-/// \brief Dense weighted pairwise-preference tally over the union U of the
-/// input lists: P(v, v') = Σ_j w_j · 1{τ_j ranks v ahead of v'}.
+/// \brief The input lists over dense local ids: local id i stands for
+/// items[i], and items is the union U in first-appearance order
+/// (UnionOfLists). Every aggregator works on local ids and maps only its
+/// output back to Items.
+struct LocalLists {
+  RankedList items;
+  std::unordered_map<Item, size_t> index;  // Item → local id
+  /// All lists as local ids, back to back; list j is ids[start(j), ends[j]).
+  std::vector<size_t> ids;
+  std::vector<size_t> ends;
+
+  size_t num_items() const { return items.size(); }
+  size_t num_lists() const { return ends.size(); }
+  size_t start(size_t j) const { return j == 0 ? 0 : ends[j - 1]; }
+};
+
+/// Validates the inputs and remaps the lists to local ids in one pass.
+/// `weights` must be empty (all lists count 1) or hold one non-negative
+/// weight per list. Fails with InvalidArgument on a weight mismatch, an item
+/// repeated within a list, or — unless `allow_empty_lists` — an empty list.
+/// Errors are reported for the first offending list.
+Result<LocalLists> RemapToLocalIds(const std::vector<RankedList>& lists,
+                                   const std::vector<double>& weights,
+                                   bool allow_empty_lists);
+
+/// \brief Dense weighted pairwise-preference tally over local ids:
+/// T(x, y) = Σ_j w_j · 1{list j ranks x ahead of y}, row-major m × m.
 ///
 /// Top-ℓ semantics (matching the Copeland formulation in Algorithm 2 and the
 /// Local Kemenization majority test): within a list, a present item is
 /// preferred to an absent one; two absent items yield no vote.
 ///
-/// Shared by weighted Copeland and by Local Kemenization so both see exactly
-/// the same majority relation.
+/// Built once per aggregation and shared by weighted Copeland and Local
+/// Kemenization, so both see exactly the same majority relation.
+class PreferenceTally {
+ public:
+  /// Tallies lists already checked by RemapToLocalIds with these `weights`.
+  PreferenceTally(const LocalLists& local, const std::vector<double>& weights);
+
+  size_t num_items() const { return m_; }
+  /// Total weight of lists preferring local id x over local id y.
+  double operator()(size_t x, size_t y) const { return cells_[x * m_ + y]; }
+  /// True when the weighted majority strictly prefers x over y.
+  bool Beats(size_t x, size_t y) const { return (*this)(x, y) > (*this)(y, x); }
+
+ private:
+  size_t m_;
+  std::vector<double> cells_;
+};
+
+/// \brief The preference tally addressed by Item: a PreferenceTally plus the
+/// local-id remap it was built from.
 class PreferenceMatrix {
  public:
   /// Builds the tally. `weights` must be empty (treated as all-ones) or have
@@ -26,9 +70,10 @@ class PreferenceMatrix {
   static Result<PreferenceMatrix> Build(const std::vector<RankedList>& lists,
                                         const std::vector<double>& weights);
 
-  /// Items of U in first-appearance order.
-  const RankedList& items() const { return items_; }
-  size_t num_items() const { return items_.size(); }
+  /// Items of U in first-appearance order; position = local id.
+  const RankedList& items() const { return local_.items; }
+  size_t num_items() const { return local_.num_items(); }
+  const PreferenceTally& tally() const { return tally_; }
 
   /// Total weight of lists preferring v over v'. Items must belong to U.
   double Preference(Item v, Item v_prime) const;
@@ -44,11 +89,11 @@ class PreferenceMatrix {
   static constexpr size_t npos = static_cast<size_t>(-1);
 
  private:
-  PreferenceMatrix() = default;
+  PreferenceMatrix(LocalLists local, PreferenceTally tally)
+      : local_(std::move(local)), tally_(std::move(tally)) {}
 
-  RankedList items_;
-  std::unordered_map<Item, size_t> index_;
-  std::vector<double> tally_;  // num_items × num_items, row-major
+  LocalLists local_;
+  PreferenceTally tally_;
 };
 
 }  // namespace rank

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <unordered_map>
 
 #include "rank/aggregators.h"
 #include "rank/kemeny.h"
@@ -403,6 +406,277 @@ TEST(AggregateRankingsTest, RejectsBadInput) {
   EXPECT_FALSE(AggregateRankings({{1, 2}}, {}, 0, {}).ok());
   EXPECT_FALSE(AggregateRankings({{1, 1}}, {}, 2, {}).ok());
   EXPECT_FALSE(AggregateRankings({{1, 2}}, {1.0, 2.0}, 2, {}).ok());
+}
+
+// ------------------------------------------- reference-pipeline equivalence ---
+//
+// The aggregation pipeline as it stood before the dense local-id tally: an
+// unordered_map index and an O(lists·m²) pairwise fill, Item-keyed majority
+// tests, and a separate union for sorting. The optimized pipeline must
+// reproduce its tally bit for bit and its answers exactly.
+
+Status ReferenceValidate(const std::vector<RankedList>& lists,
+                         const std::vector<double>& weights) {
+  if (lists.empty()) {
+    return Status::InvalidArgument("aggregation needs at least one list");
+  }
+  if (!weights.empty() && weights.size() != lists.size()) {
+    return Status::InvalidArgument("one weight per list expected");
+  }
+  for (double w : weights) {
+    if (!(w >= 0.0)) {
+      return Status::InvalidArgument("weights must be non-negative");
+    }
+  }
+  for (const auto& list : lists) {
+    INFLEX_RETURN_NOT_OK(ValidateRankedList(list));
+    if (list.empty()) {
+      return Status::InvalidArgument("cannot aggregate an empty list");
+    }
+  }
+  return Status::OK();
+}
+
+struct ReferenceTally {
+  RankedList items;
+  std::unordered_map<Item, size_t> index;
+  std::vector<double> tally;
+
+  double Preference(Item v, Item v_prime) const {
+    return tally[index.at(v) * items.size() + index.at(v_prime)];
+  }
+  bool MajorityPrefers(Item v, Item v_prime) const {
+    return Preference(v, v_prime) > Preference(v_prime, v);
+  }
+};
+
+ReferenceTally ReferenceBuild(const std::vector<RankedList>& lists,
+                              const std::vector<double>& weights) {
+  ReferenceTally pm;
+  pm.items = UnionOfLists(lists);
+  const size_t m = pm.items.size();
+  for (size_t i = 0; i < m; ++i) pm.index[pm.items[i]] = i;
+  pm.tally.assign(m * m, 0.0);
+  std::vector<size_t> rank_of(m);
+  constexpr size_t kAbsent = static_cast<size_t>(-1);
+  for (size_t j = 0; j < lists.size(); ++j) {
+    const double w = weights.empty() ? 1.0 : weights[j];
+    if (w == 0.0) continue;
+    std::fill(rank_of.begin(), rank_of.end(), kAbsent);
+    for (size_t r = 0; r < lists[j].size(); ++r) {
+      rank_of[pm.index.at(lists[j][r])] = r;
+    }
+    for (size_t x = 0; x < m; ++x) {
+      const size_t rx = rank_of[x];
+      for (size_t y = x + 1; y < m; ++y) {
+        const size_t ry = rank_of[y];
+        if (rx == kAbsent && ry == kAbsent) continue;
+        const bool x_wins = (ry == kAbsent) || (rx != kAbsent && rx < ry);
+        if (x_wins) {
+          pm.tally[x * m + y] += w;
+        } else {
+          pm.tally[y * m + x] += w;
+        }
+      }
+    }
+  }
+  return pm;
+}
+
+void ReferenceLocalKemenization(const ReferenceTally& pm, RankedList* tau) {
+  for (size_t i = 1; i < tau->size(); ++i) {
+    for (size_t j = i; j > 0; --j) {
+      const Item above = (*tau)[j - 1];
+      const Item below = (*tau)[j];
+      if (!pm.index.count(above) || !pm.index.count(below)) break;
+      if (!pm.MajorityPrefers(below, above)) break;
+      std::swap((*tau)[j - 1], (*tau)[j]);
+    }
+  }
+}
+
+Result<RankedList> ReferenceAggregate(const std::vector<RankedList>& lists,
+                                      const std::vector<double>& weights,
+                                      size_t k,
+                                      const AggregationOptions& options) {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  std::vector<double> w;
+  if (options.use_weights) w = weights;
+  INFLEX_RETURN_NOT_OK(ReferenceValidate(lists, w));
+  const ReferenceTally pm = ReferenceBuild(lists, w);
+  const RankedList& u = pm.items;
+  std::vector<double> scores(u.size(), 0.0);
+  if (options.method == AggregationMethod::kBorda) {
+    size_t ell = 0;
+    for (const auto& list : lists) ell = std::max(ell, list.size());
+    for (size_t j = 0; j < lists.size(); ++j) {
+      const double wj = w.empty() ? 1.0 : w[j];
+      for (size_t r = 0; r < lists[j].size(); ++r) {
+        scores[pm.index.at(lists[j][r])] += wj * static_cast<double>(ell - r);
+      }
+    }
+  } else {
+    for (size_t x = 0; x < u.size(); ++x) {
+      for (size_t y = 0; y < u.size(); ++y) {
+        if (x != y && pm.MajorityPrefers(u[x], u[y])) scores[x] += 1.0;
+      }
+    }
+  }
+  std::vector<size_t> order(u.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return u[a] < u[b];
+  });
+  RankedList aggregated(u.size());
+  for (size_t i = 0; i < u.size(); ++i) aggregated[i] = u[order[i]];
+  if (options.local_kemenization) ReferenceLocalKemenization(pm, &aggregated);
+  if (aggregated.size() > k) aggregated.resize(k);
+  return aggregated;
+}
+
+// 1–8 lists of length 1–50 drawn from one pool, so lists overlap; weights
+// are sometimes absent, sometimes zero, and sometimes tied.
+struct RandomInstance {
+  std::vector<RankedList> lists;
+  std::vector<double> weights;
+};
+
+RandomInstance MakeRandomInstance(Rng* rng) {
+  RandomInstance inst;
+  const size_t num_lists = 1 + rng->UniformInt(8);
+  const size_t max_len = 1 + rng->UniformInt(50);
+  const size_t pool = max_len + rng->UniformInt(2 * max_len + 1);
+  RankedList ids(pool);
+  std::iota(ids.begin(), ids.end(), Item{1000});
+  for (size_t j = 0; j < num_lists; ++j) {
+    rng->Shuffle(&ids);
+    inst.lists.emplace_back(ids.begin(),
+                            ids.begin() + 1 + rng->UniformInt(max_len));
+  }
+  if (rng->Bernoulli(0.8)) {
+    for (size_t j = 0; j < num_lists; ++j) {
+      const double u = rng->Uniform();
+      inst.weights.push_back(u < 0.15 ? 0.0 : u < 0.3 ? 0.5 : u);
+    }
+  }
+  return inst;
+}
+
+TEST(AggregationEquivalenceTest, TallyMatchesPairwiseReferenceBitForBit) {
+  Rng rng(2014);
+  for (int t = 0; t < 2000; ++t) {
+    const RandomInstance inst = MakeRandomInstance(&rng);
+    const ReferenceTally ref = ReferenceBuild(inst.lists, inst.weights);
+    auto pm = PreferenceMatrix::Build(inst.lists, inst.weights);
+    ASSERT_TRUE(pm.ok()) << pm.status().ToString();
+    const PreferenceMatrix& got = pm.ValueOrDie();
+    ASSERT_EQ(got.items(), ref.items) << "trial " << t;
+    const size_t m = ref.items.size();
+    std::vector<double> cells(m * m);
+    for (size_t x = 0; x < m; ++x) {
+      for (size_t y = 0; y < m; ++y) cells[x * m + y] = got.tally()(x, y);
+    }
+    ASSERT_EQ(std::memcmp(cells.data(), ref.tally.data(),
+                          m * m * sizeof(double)),
+              0)
+        << "trial " << t;
+  }
+}
+
+TEST(AggregationEquivalenceTest, AnswersMatchReferencePipeline) {
+  Rng rng(2015);
+  for (int t = 0; t < 2000; ++t) {
+    const RandomInstance inst = MakeRandomInstance(&rng);
+    const size_t u = UnionOfLists(inst.lists).size();
+    // k spans 1 .. |U| + 5, so k > |U| is covered.
+    const size_t k = 1 + rng.UniformInt(u + 5);
+    for (auto method :
+         {AggregationMethod::kCopeland, AggregationMethod::kBorda}) {
+      for (bool use_weights : {true, false}) {
+        for (bool lk : {true, false}) {
+          AggregationOptions opts;
+          opts.method = method;
+          opts.use_weights = use_weights;
+          opts.local_kemenization = lk;
+          auto got = AggregateRankings(inst.lists, inst.weights, k, opts);
+          auto want = ReferenceAggregate(inst.lists, inst.weights, k, opts);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(want.ok());
+          ASSERT_EQ(got.ValueOrDie(), want.ValueOrDie())
+              << "trial " << t << " method " << static_cast<int>(method)
+              << " weights " << use_weights << " lk " << lk;
+        }
+      }
+    }
+  }
+}
+
+TEST(AggregationEquivalenceTest, RejectsBadInputLikeReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    std::vector<RankedList> lists;
+    std::vector<double> weights;
+    size_t k;
+  };
+  const std::vector<Case> cases = {
+      {{}, {}, 3},                          // no lists
+      {{{1, 2}}, {}, 0},                    // k = 0
+      {{{1, 1}}, {}, 2},                    // duplicate item
+      {{{1, 2}, {3, 4, 3}}, {}, 2},         // duplicate in a later list
+      {{{1, 2}}, {1.0, 2.0}, 2},            // weight count mismatch
+      {{{1, 2}, {2, 1}}, {1.0, -1.0}, 2},   // negative weight
+      {{{1, 2}}, {nan}, 2},                 // NaN weight
+      {{{1, 2}, {}}, {}, 2},                // empty list
+      {{{}, {1, 1}}, {}, 2},                // empty list before a duplicate
+      {{{1, 1}, {}}, {}, 2},                // duplicate before an empty list
+      {{{1, 2, 1}, {3}}, {1.0}, 2},         // mismatch reported first
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    for (bool use_weights : {true, false}) {
+      AggregationOptions opts;
+      opts.use_weights = use_weights;
+      const auto& in = cases[c];
+      auto got = AggregateRankings(in.lists, in.weights, in.k, opts);
+      auto want = ReferenceAggregate(in.lists, in.weights, in.k, opts);
+      // Without weights, the weight cases are valid inputs.
+      if (use_weights) {
+        ASSERT_FALSE(want.ok()) << "case " << c;
+      }
+      ASSERT_EQ(got.status(), want.status())
+          << "case " << c << ": " << got.status().ToString() << " vs "
+          << want.status().ToString();
+      if (want.ok()) {
+        EXPECT_EQ(got.ValueOrDie(), want.ValueOrDie()) << "case " << c;
+      }
+    }
+  }
+}
+
+TEST(AggregationEquivalenceTest, LocalKemenizationNeverMovesItemsOutsideU) {
+  Rng rng(2016);
+  for (int t = 0; t < 300; ++t) {
+    const RandomInstance inst = MakeRandomInstance(&rng);
+    RankedList tau = UnionOfLists(inst.lists);
+    // Strangers the lists never mention, at random positions.
+    const size_t strangers = 1 + rng.UniformInt(3);
+    for (size_t s = 0; s < strangers; ++s) {
+      tau.insert(tau.begin() + rng.UniformInt(tau.size() + 1),
+                 static_cast<Item>(s));
+    }
+    rng.Shuffle(&tau);
+    RankedList want = tau;
+    ReferenceLocalKemenization(ReferenceBuild(inst.lists, inst.weights),
+                               &want);
+    RankedList got = tau;
+    ASSERT_TRUE(LocalKemenization(inst.lists, inst.weights, &got).ok());
+    ASSERT_EQ(got, want) << "trial " << t;
+    for (size_t i = 0; i < tau.size(); ++i) {
+      if (tau[i] < strangers) {
+        EXPECT_EQ(got[i], tau[i]) << "trial " << t;
+      }
+    }
+  }
 }
 
 TEST(KemenyObjectiveTest, ZeroForIdenticalInput) {

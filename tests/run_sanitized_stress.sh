@@ -4,9 +4,11 @@
 # directory and runs them. Any data race in the sharded QueryCache, the
 # QueryEngine batch path, the ThreadPool re-entrancy logic, or the
 # IndexMaintainer generation-swap pipeline fails this script.
-# A second phase builds kernel_test under ASan+UBSan (-DINFLEX_SANITIZE=
-# address): the KL kernel layer works on raw pointers into flat SoA buffers
-# that Insert() reallocates, exactly the kind of code ASan exists for.
+# A second phase builds kernel_test and rank_test under ASan+UBSan
+# (-DINFLEX_SANITIZE=address): the KL kernel layer works on raw pointers into
+# flat SoA buffers that Insert() reallocates, and rank aggregation indexes
+# its dense preference tally by raw row offsets — exactly the kind of code
+# ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -87,8 +89,9 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test)"
-cmake --build "$BUILD_ASAN" --target kernel_test -j "$(nproc)" > /dev/null
+echo "== build (kernel_test rank_test)"
+cmake --build "$BUILD_ASAN" --target kernel_test rank_test -j "$(nproc)" \
+  > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -101,4 +104,11 @@ echo "== re-run under ASan+UBSan with INFLEX_FORCE_SCALAR=1"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" INFLEX_FORCE_SCALAR=1 \
   "$BUILD_ASAN/tests/kernel_test"
 
-echo "ASan kernel tests: OK (dispatched + forced-scalar)"
+echo "== run rank aggregation tests under ASan+UBSan"
+# The dense local-id tally and the Local Kemenization pass, checked against
+# the pairwise reference on thousands of random instances.
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/rank_test"
+
+echo "ASan kernel + rank tests: OK (dispatched + forced-scalar kernels)"

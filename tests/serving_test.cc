@@ -500,7 +500,9 @@ TEST_F(ServingTest, CumulativeQpsUsesEngineWallSpanNotSummedWalls) {
   eopts.pool = &pool;
   eopts.enable_cache = false;  // every request does real index work
   core::QueryEngine engine(index_, eopts);
-  const auto requests = MakeWorkload(64, 4242);
+  // Batches long enough (several ms) that scheduling skew between the two
+  // callers on a busy host stays small next to each batch.
+  const auto requests = MakeWorkload(512, 4242);
 
   constexpr int kCallers = 2;
   constexpr int kRounds = 4;
