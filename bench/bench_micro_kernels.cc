@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the hot kernels: KL divergence (the
 // reference scalar path vs the factorized vectorized kernel layer), ILR,
 // Eq. 1 instance materialization, cascade simulation, snapshot-oracle
-// marginal gains, bb-tree searches, Kendall-τ, and the aggregation kernels.
+// marginal gains, one index point's CELF++ seed list, bb-tree searches,
+// Kendall-τ, and the aggregation kernels.
 // After the google-benchmark suite, main() runs a self-timed reference-vs-
 // kernel comparison across topic counts and leaf-scan batch sizes and writes
 // it to BENCH_kernels.json (see RunKernelComparison below).
@@ -15,6 +16,7 @@
 #include "bbtree/bbtree.h"
 #include "data/synthetic.h"
 #include "im/cascade.h"
+#include "im/celfpp.h"
 #include "im/lt_model.h"
 #include "im/ris.h"
 #include "im/snapshot_oracle.h"
@@ -174,6 +176,38 @@ void BM_SnapshotMarginalGain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotMarginalGain)->Arg(50)->Arg(100);
+
+// One index point's serial seed-list precompute at the perfbench build shape
+// (2,500 nodes, 8 topics, average degree 12, W = 100 snapshots, ℓ = 50):
+// Arg(0) times CELF++ on a sampled oracle, Arg(1) also samples the oracle.
+void BM_CelfPpSeedList(benchmark::State& state) {
+  static const data::SyntheticDataset* ds = [] {
+    data::SyntheticDatasetOptions opts;
+    opts.num_users = 2500;
+    opts.num_topics = 8;
+    opts.num_items = 3000;
+    opts.avg_degree = 12.0;
+    opts.seed = 20140324;
+    auto r = data::GenerateSyntheticDataset(opts);
+    INFLEX_CHECK(r.ok());
+    return new data::SyntheticDataset(std::move(r).ValueOrDie());
+  }();
+  const auto probs = ds->graph.ItemArcProbabilities(ds->catalog[0]);
+  im::SnapshotSpreadOracle::Options opts;
+  opts.num_snapshots = 100;
+  auto oracle = im::SnapshotSpreadOracle::Create(ds->graph, probs, opts);
+  INFLEX_CHECK(oracle.ok());
+  im::SeedSelectionOptions sopts;
+  sopts.parallel_first_iteration = false;
+  for (auto _ : state) {
+    if (state.range(0) == 1) {
+      oracle = im::SnapshotSpreadOracle::Create(ds->graph, probs, opts);
+    }
+    auto seeds = im::SelectSeedsCelfPp(&oracle.ValueOrDie(), 50, sopts);
+    benchmark::DoNotOptimize(seeds);
+  }
+}
+BENCHMARK(BM_CelfPpSeedList)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 std::vector<simplex::TopicVector> BenchPoints(size_t n, size_t dim) {
   Rng rng(6);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "simplex/divergence.h"
@@ -25,20 +26,39 @@ double BregmanDivergence(BregmanDivergenceKind kind,
 
 namespace {
 
+// Below this many divergence evaluations a pass runs serially: handing it to
+// the pool would cost more than it saves (the bb-tree's small node splits).
+constexpr size_t kMinParallelEvals = 1 << 14;
+
+// Runs fn(begin, end) over chunks of the n points, on the pool when one pass
+// costs at least kMinParallelEvals evaluations.
+void ForEachPointChunk(size_t n, size_t evals_per_point, ThreadPool* pool,
+                       const std::function<void(size_t, size_t)>& fn) {
+  if (n * evals_per_point < kMinParallelEvals) {
+    fn(0, n);
+  } else {
+    ParallelForChunks(0, n, fn, pool);
+  }
+}
+
 // K-means++ seeding: first center uniform, then proportional to the current
 // divergence to the closest chosen center.
 std::vector<simplex::TopicVector> SeedCenters(
     const std::vector<simplex::TopicVector>& points, size_t k,
-    BregmanDivergenceKind kind, Rng* rng) {
+    BregmanDivergenceKind kind, ThreadPool* pool, Rng* rng) {
   const size_t n = points.size();
   std::vector<simplex::TopicVector> centers;
   centers.reserve(k);
   centers.push_back(points[rng->UniformInt(n)]);
 
   std::vector<double> min_div(n);
-  for (size_t i = 0; i < n; ++i) {
-    min_div[i] = BregmanDivergence(kind, points[i], centers.back());
-  }
+  const auto update_min_div = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const double d = BregmanDivergence(kind, points[i], centers.back());
+      min_div[i] = centers.size() == 1 ? d : std::min(min_div[i], d);
+    }
+  };
+  ForEachPointChunk(n, 1, pool, update_min_div);
   while (centers.size() < k) {
     double total = 0.0;
     for (double d : min_div) total += d;
@@ -58,10 +78,7 @@ std::vector<simplex::TopicVector> SeedCenters(
       }
     }
     centers.push_back(points[chosen]);
-    for (size_t i = 0; i < n; ++i) {
-      min_div[i] = std::min(
-          min_div[i], BregmanDivergence(kind, points[i], centers.back()));
-    }
+    ForEachPointChunk(n, 1, pool, update_min_div);
   }
   return centers;
 }
@@ -88,32 +105,38 @@ Result<KMeansResult> KMeansPlusPlus(
 
   Rng rng(options.seed);
   KMeansResult result;
-  result.centroids = SeedCenters(points, k, options.divergence, &rng);
+  result.centroids =
+      SeedCenters(points, k, options.divergence, options.pool, &rng);
   result.assignment.assign(n, 0);
 
+  std::vector<double> best_div(n);
   std::vector<double> sums(k * dim);
   std::vector<size_t> counts(k);
   double prev_objective = std::numeric_limits<double>::infinity();
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    // Assignment step.
-    double objective = 0.0;
-    for (size_t i = 0; i < n; ++i) {
+  const auto assign = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
       double best = std::numeric_limits<double>::infinity();
       uint32_t best_c = 0;
       for (size_t c = 0; c < k; ++c) {
-        const double d =
-            BregmanDivergence(options.divergence, points[i],
-                              result.centroids[c]);
+        const double d = BregmanDivergence(options.divergence, points[i],
+                                           result.centroids[c]);
         if (d < best) {
           best = d;
           best_c = static_cast<uint32_t>(c);
         }
       }
       result.assignment[i] = best_c;
-      objective += best;
+      best_div[i] = best;
     }
+  };
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    // Assignment step, then the objective summed in point order.
+    ForEachPointChunk(n, k, options.pool, assign);
+    double objective = 0.0;
+    for (double d : best_div) objective += d;
     result.objective = objective;
 
     // Update step: arithmetic mean (the right-type Bregman centroid).

@@ -7,6 +7,7 @@
 #include "simplex/topic_distribution.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace inflex {
 namespace cluster {
@@ -36,6 +37,10 @@ struct KMeansOptions {
   double tolerance = 1e-7;
   BregmanDivergenceKind divergence = BregmanDivergenceKind::kKl;
   uint64_t seed = 1;
+  /// Pool for the per-point divergence passes (nullptr: the process-global
+  /// pool). Every reduction runs serially in point order, so the result is
+  /// bit-identical for any pool size.
+  ThreadPool* pool = nullptr;
 };
 
 /// \brief Clustering output.

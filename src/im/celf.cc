@@ -1,7 +1,5 @@
 #include "im/celf.h"
 
-#include <algorithm>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -33,26 +31,7 @@ Result<SeedSelectionResult> SelectSeedsCelf(
   SeedSelectionResult result;
   auto ws = oracle->MakeWorkspace();
 
-  // Initial pass: gain of every singleton (parallelizable).
-  std::vector<double> init_gains(n);
-  if (options.parallel_first_iteration && n >= 256) {
-    ParallelFor(
-        0, n,
-        [&](size_t v) {
-          thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-          if (tws == nullptr) {
-            tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-                oracle->MakeWorkspace());
-          }
-          init_gains[v] =
-              oracle->MarginalGain(static_cast<graph::NodeId>(v), tws.get());
-        },
-        options.pool);
-  } else {
-    for (size_t v = 0; v < n; ++v) {
-      init_gains[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v), &ws);
-    }
-  }
+  const std::vector<double> init_gains = FirstIterationGains(*oracle, options);
   result.num_evaluations += n;
 
   std::priority_queue<HeapEntry> heap;

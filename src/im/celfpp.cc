@@ -1,7 +1,6 @@
 #include "im/celfpp.h"
 
 #include <limits>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -35,33 +34,10 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
   SeedSelectionResult result;
   auto ws = oracle->MakeWorkspace();
 
-  // Per-node CELF++ state.
-  std::vector<double> mg1(n), mg2(n);
-  std::vector<graph::NodeId> prev_best(n, kInvalidNode);
-  std::vector<uint32_t> flag(n, 0);
-
-  // Initial pass: mg1 of every singleton, in parallel. mg2 w.r.t. the
-  // eventual global best singleton is filled in a second parallel pass, so
-  // the parallel code matches the sequential semantics ("cur_best after
-  // examining all nodes" = the global argmax).
-  if (options.parallel_first_iteration && n >= 256) {
-    ParallelFor(
-        0, n,
-        [&](size_t v) {
-          thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-          if (tws == nullptr) {
-            tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-                oracle->MakeWorkspace());
-          }
-          mg1[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v),
-                                        tws.get());
-        },
-        options.pool);
-  } else {
-    for (size_t v = 0; v < n; ++v) {
-      mg1[v] = oracle->MarginalGain(static_cast<graph::NodeId>(v), &ws);
-    }
-  }
+  // First iteration: mg1 of every node, then mg2 w.r.t. the global best
+  // candidate singleton best0 (the sequential "cur_best after examining all
+  // nodes"), each as one batch pass over the oracle.
+  std::vector<double> mg1 = FirstIterationGains(*oracle, options);
   result.num_evaluations += n;
 
   graph::NodeId best0 = kInvalidNode;
@@ -72,29 +48,10 @@ Result<SeedSelectionResult> SelectSeedsCelfPp(
     }
   }
   INFLEX_CHECK_NE(best0, kInvalidNode);
-  auto fill_mg2 = [&](size_t v) {
-    if (v == best0) {
-      mg2[v] = mg1[v];
-      prev_best[v] = kInvalidNode;
-      return;
-    }
-    thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-    if (tws == nullptr) {
-      tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-          oracle->MakeWorkspace());
-    }
-    double a = 0.0, b = 0.0;
-    oracle->MarginalGainPair(static_cast<graph::NodeId>(v), best0, tws.get(),
-                             &a, &b);
-    mg1[v] = a;  // identical to the first pass (deterministic oracle)
-    mg2[v] = b;
-    prev_best[v] = best0;
-  };
-  if (options.parallel_first_iteration && n >= 256) {
-    ParallelFor(0, n, fill_mg2, options.pool);
-  } else {
-    for (size_t v = 0; v < n; ++v) fill_mg2(v);
-  }
+  std::vector<double> mg2 = FirstIterationGains(*oracle, options, best0);
+  std::vector<graph::NodeId> prev_best(n, best0);
+  prev_best[best0] = kInvalidNode;
+  std::vector<uint32_t> flag(n, 0);
 
   std::priority_queue<HeapEntry> heap;
   for (size_t v = 0; v < n; ++v) {

@@ -1,10 +1,19 @@
 #include "im/greedy.h"
 
 #include <limits>
-#include <memory>
 
 namespace inflex {
 namespace im {
+
+namespace {
+
+// True when the first iteration's gains are spread across the pool.
+bool ParallelFirstIteration(const SeedSelectionOptions& options,
+                            size_t num_nodes) {
+  return options.parallel_first_iteration && num_nodes >= 256;
+}
+
+}  // namespace
 
 Result<size_t> ValidateCandidateMask(const SeedSelectionOptions& options,
                                      size_t num_nodes, size_t k) {
@@ -28,36 +37,53 @@ Result<size_t> ValidateCandidateMask(const SeedSelectionOptions& options,
   return eligible;
 }
 
+std::vector<double> FirstIterationGains(
+    const SnapshotSpreadOracle& oracle, const SeedSelectionOptions& options,
+    std::optional<graph::NodeId> exclude) {
+  const size_t n = oracle.num_nodes();
+  std::vector<uint64_t> counts(n);
+  const auto run_chunk = [&](size_t begin, size_t end) {
+    auto ws = oracle.MakeWorkspace();
+    const auto b = static_cast<graph::NodeId>(begin);
+    const auto e = static_cast<graph::NodeId>(end);
+    if (exclude.has_value()) {
+      oracle.ExclusiveReachCounts(*exclude, b, e, &ws, counts.data() + begin);
+    } else {
+      oracle.ReachCounts(b, e, &ws, counts.data() + begin);
+    }
+  };
+  if (ParallelFirstIteration(options, n)) {
+    ParallelForChunks(0, n, run_chunk, options.pool);
+  } else {
+    run_chunk(0, n);
+  }
+  std::vector<double> gains(n);
+  for (size_t v = 0; v < n; ++v) gains[v] = oracle.GainOfCount(counts[v]);
+  return gains;
+}
+
 Result<SeedSelectionResult> SelectSeedsGreedy(
     SnapshotSpreadOracle* oracle, size_t k,
     const SeedSelectionOptions& options) {
   const size_t n = oracle->num_nodes();
-  INFLEX_RETURN_NOT_OK(ValidateCandidateMask(options, n, k).status());
+  INFLEX_ASSIGN_OR_RETURN(const size_t eligible,
+                          ValidateCandidateMask(options, n, k));
 
   oracle->ResetSeeds();
   SeedSelectionResult result;
   result.seeds.reserve(k);
   result.marginal_gains.reserve(k);
 
-  std::vector<double> gains(n);
+  std::vector<double> gains;
   std::vector<uint8_t> selected(n, 0);
   auto ws = oracle->MakeWorkspace();
 
   for (size_t iter = 0; iter < k; ++iter) {
-    if (iter == 0 && options.parallel_first_iteration && n >= 256) {
-      ParallelFor(
-          0, n,
-          [&](size_t v) {
-            thread_local std::unique_ptr<SnapshotSpreadOracle::Workspace> tws;
-            if (tws == nullptr) {
-              tws = std::make_unique<SnapshotSpreadOracle::Workspace>(
-                  oracle->MakeWorkspace());
-            }
-            gains[v] =
-                oracle->MarginalGain(static_cast<graph::NodeId>(v), tws.get());
-          },
-          options.pool);
-      result.num_evaluations += n;
+    if (iter == 0) {
+      gains = FirstIterationGains(*oracle, options);
+      // The parallel pass counts every node, the serial one the candidates.
+      result.num_evaluations +=
+          ParallelFirstIteration(options, n) ? n : eligible;
     } else {
       for (size_t v = 0; v < n; ++v) {
         if (selected[v] || !IsCandidate(options, v)) continue;

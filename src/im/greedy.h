@@ -1,6 +1,9 @@
 #ifndef INFLEX_IM_GREEDY_H_
 #define INFLEX_IM_GREEDY_H_
 
+#include <optional>
+#include <vector>
+
 #include "im/snapshot_oracle.h"
 #include "im/spread_estimator.h"
 #include "util/thread_pool.h"
@@ -29,6 +32,18 @@ Result<size_t> ValidateCandidateMask(const SeedSelectionOptions& options,
 inline bool IsCandidate(const SeedSelectionOptions& options, size_t v) {
   return options.candidate_mask.empty() || options.candidate_mask[v] != 0;
 }
+
+/// The first iteration of greedy/CELF/CELF++: the marginal gain of every
+/// node w.r.t. the committed seeds, or, given `exclude`, w.r.t. the
+/// committed seeds plus `exclude` (MarginalGainPair's mg2). Uses the
+/// oracle's snapshot-major batch calls over node chunks, each chunk with its
+/// own workspace; the chunks run across options.pool when
+/// options.parallel_first_iteration and there are at least 256 nodes, else
+/// as one serial chunk. Gains are integer reach counts divided by W, so they
+/// do not depend on the chunking.
+std::vector<double> FirstIterationGains(
+    const SnapshotSpreadOracle& oracle, const SeedSelectionOptions& options,
+    std::optional<graph::NodeId> exclude = std::nullopt);
 
 /// Plain greedy (Kempe et al. 2003): k iterations, each recomputing the
 /// marginal gain of every node. O(n·k) oracle evaluations — the reference

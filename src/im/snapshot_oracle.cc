@@ -49,38 +49,108 @@ Result<SnapshotSpreadOracle> SnapshotSpreadOracle::Create(
   return oracle;
 }
 
-double SnapshotSpreadOracle::MarginalGain(graph::NodeId v,
-                                          Workspace* ws) const {
-  INFLEX_CHECK_LT(v, num_nodes_);
+namespace {
+
+// Advances a workspace epoch, clearing its stamps when the counter wraps.
+uint32_t NextEpoch(uint32_t* epoch, std::vector<uint32_t>* stamps) {
+  if (++*epoch == 0) {
+    std::fill(stamps->begin(), stamps->end(), 0u);
+    *epoch = 1;
+  }
+  return *epoch;
+}
+
+}  // namespace
+
+void SnapshotSpreadOracle::MarkReach(size_t s, graph::NodeId other,
+                                     Workspace* ws) const {
   const size_t n = num_nodes_;
-  uint64_t gain = 0;
+  const uint8_t* cov = covered_.data() + s * n;
+  const uint64_t* off = offsets_.data() + s * (n + 1);
+  const uint32_t xepoch = NextEpoch(&ws->extra_epoch_, &ws->extra_stamps_);
+  if (cov[other]) return;
   auto& frontier = ws->frontier_;
-  for (size_t s = 0; s < num_snapshots_; ++s) {
-    const uint8_t* cov = covered_.data() + s * n;
-    if (cov[v]) continue;
-    if (++ws->epoch_ == 0) {
-      std::fill(ws->stamps_.begin(), ws->stamps_.end(), 0u);
-      ws->epoch_ = 1;
-    }
-    const uint32_t epoch = ws->epoch_;
-    const uint64_t* off = offsets_.data() + s * (n + 1);
-    frontier.clear();
-    frontier.push_back(v);
-    ws->stamps_[v] = epoch;
-    ++gain;
-    for (size_t head = 0; head < frontier.size(); ++head) {
-      const graph::NodeId u = frontier[head];
-      for (uint64_t e = off[u]; e < off[u + 1]; ++e) {
-        const graph::NodeId t = targets_[e];
-        if (ws->stamps_[t] != epoch && !cov[t]) {
-          ws->stamps_[t] = epoch;
-          frontier.push_back(t);
-          ++gain;
-        }
+  frontier.clear();
+  frontier.push_back(other);
+  ws->extra_stamps_[other] = xepoch;
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const graph::NodeId u = frontier[head];
+    for (uint64_t e = off[u]; e < off[u + 1]; ++e) {
+      const graph::NodeId t = targets_[e];
+      if (ws->extra_stamps_[t] != xepoch && !cov[t]) {
+        ws->extra_stamps_[t] = xepoch;
+        frontier.push_back(t);
       }
     }
   }
-  return static_cast<double>(gain) / static_cast<double>(num_snapshots_);
+}
+
+template <bool kExclude>
+uint64_t SnapshotSpreadOracle::CountReach(size_t s, graph::NodeId v,
+                                          Workspace* ws) const {
+  const size_t n = num_nodes_;
+  const uint8_t* cov = covered_.data() + s * n;
+  const uint32_t xepoch = ws->extra_epoch_;
+  const auto blocked = [&](graph::NodeId t) {
+    return cov[t] || (kExclude && ws->extra_stamps_[t] == xepoch);
+  };
+  if (blocked(v)) return 0;
+  const uint32_t epoch = NextEpoch(&ws->epoch_, &ws->stamps_);
+  const uint64_t* off = offsets_.data() + s * (n + 1);
+  auto& frontier = ws->frontier_;
+  frontier.clear();
+  frontier.push_back(v);
+  ws->stamps_[v] = epoch;
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const graph::NodeId u = frontier[head];
+    for (uint64_t e = off[u]; e < off[u + 1]; ++e) {
+      const graph::NodeId t = targets_[e];
+      if (ws->stamps_[t] != epoch && !blocked(t)) {
+        ws->stamps_[t] = epoch;
+        frontier.push_back(t);
+      }
+    }
+  }
+  return frontier.size();
+}
+
+double SnapshotSpreadOracle::MarginalGain(graph::NodeId v,
+                                          Workspace* ws) const {
+  INFLEX_CHECK_LT(v, num_nodes_);
+  uint64_t count = 0;
+  ReachCounts(v, v + 1, ws, &count);
+  return GainOfCount(count);
+}
+
+void SnapshotSpreadOracle::ReachCounts(graph::NodeId begin, graph::NodeId end,
+                                       Workspace* ws, uint64_t* counts) const {
+  INFLEX_CHECK_LE(begin, end);
+  INFLEX_CHECK_LE(end, num_nodes_);
+  INFLEX_CHECK_EQ(ws->stamps_.size(), num_nodes_);
+  std::fill(counts, counts + (end - begin), uint64_t{0});
+  for (size_t s = 0; s < num_snapshots_; ++s) {
+    for (graph::NodeId v = begin; v < end; ++v) {
+      counts[v - begin] += CountReach<false>(s, v, ws);
+    }
+  }
+}
+
+void SnapshotSpreadOracle::ExclusiveReachCounts(graph::NodeId other,
+                                                graph::NodeId begin,
+                                                graph::NodeId end,
+                                                Workspace* ws,
+                                                uint64_t* counts) const {
+  INFLEX_CHECK_LT(other, num_nodes_);
+  INFLEX_CHECK_LE(begin, end);
+  INFLEX_CHECK_LE(end, num_nodes_);
+  INFLEX_CHECK_EQ(ws->stamps_.size(), num_nodes_);
+  std::fill(counts, counts + (end - begin), uint64_t{0});
+  for (size_t s = 0; s < num_snapshots_; ++s) {
+    MarkReach(s, other, ws);
+    for (graph::NodeId v = begin; v < end; ++v) {
+      counts[v - begin] += CountReach<true>(s, v, ws);
+    }
+  }
 }
 
 void SnapshotSpreadOracle::MarginalGainPair(graph::NodeId v,
@@ -88,6 +158,7 @@ void SnapshotSpreadOracle::MarginalGainPair(graph::NodeId v,
                                             double* mg1, double* mg2) const {
   INFLEX_CHECK_LT(v, num_nodes_);
   INFLEX_CHECK_LT(other, num_nodes_);
+  INFLEX_CHECK_EQ(ws->stamps_.size(), num_nodes_);
   const size_t n = num_nodes_;
   uint64_t gain1 = 0, gain2 = 0;
   auto& frontier = ws->frontier_;
@@ -96,34 +167,12 @@ void SnapshotSpreadOracle::MarginalGainPair(graph::NodeId v,
     const uint64_t* off = offsets_.data() + s * (n + 1);
 
     // Pass 1: mark `other`'s incremental reach in this snapshot.
-    if (++ws->extra_epoch_ == 0) {
-      std::fill(ws->extra_stamps_.begin(), ws->extra_stamps_.end(), 0u);
-      ws->extra_epoch_ = 1;
-    }
+    MarkReach(s, other, ws);
     const uint32_t xepoch = ws->extra_epoch_;
-    if (!cov[other]) {
-      frontier.clear();
-      frontier.push_back(other);
-      ws->extra_stamps_[other] = xepoch;
-      for (size_t head = 0; head < frontier.size(); ++head) {
-        const graph::NodeId u = frontier[head];
-        for (uint64_t e = off[u]; e < off[u + 1]; ++e) {
-          const graph::NodeId t = targets_[e];
-          if (ws->extra_stamps_[t] != xepoch && !cov[t]) {
-            ws->extra_stamps_[t] = xepoch;
-            frontier.push_back(t);
-          }
-        }
-      }
-    }
 
     // Pass 2: BFS from v over uncovered nodes, counting both totals.
     if (cov[v]) continue;
-    if (++ws->epoch_ == 0) {
-      std::fill(ws->stamps_.begin(), ws->stamps_.end(), 0u);
-      ws->epoch_ = 1;
-    }
-    const uint32_t epoch = ws->epoch_;
+    const uint32_t epoch = NextEpoch(&ws->epoch_, &ws->stamps_);
     frontier.clear();
     frontier.push_back(v);
     ws->stamps_[v] = epoch;
@@ -142,8 +191,8 @@ void SnapshotSpreadOracle::MarginalGainPair(graph::NodeId v,
       }
     }
   }
-  *mg1 = static_cast<double>(gain1) / static_cast<double>(num_snapshots_);
-  *mg2 = static_cast<double>(gain2) / static_cast<double>(num_snapshots_);
+  *mg1 = GainOfCount(gain1);
+  *mg2 = GainOfCount(gain2);
 }
 
 double SnapshotSpreadOracle::CommitSeed(graph::NodeId v, Workspace* ws) {
@@ -182,15 +231,12 @@ void SnapshotSpreadOracle::ResetSeeds() {
 
 double SnapshotSpreadOracle::SpreadOf(std::span<const graph::NodeId> seeds,
                                       Workspace* ws) const {
+  INFLEX_CHECK_EQ(ws->stamps_.size(), num_nodes_);
   const size_t n = num_nodes_;
   uint64_t total = 0;
   auto& frontier = ws->frontier_;
   for (size_t s = 0; s < num_snapshots_; ++s) {
-    if (++ws->epoch_ == 0) {
-      std::fill(ws->stamps_.begin(), ws->stamps_.end(), 0u);
-      ws->epoch_ = 1;
-    }
-    const uint32_t epoch = ws->epoch_;
+    const uint32_t epoch = NextEpoch(&ws->epoch_, &ws->stamps_);
     const uint64_t* off = offsets_.data() + s * (n + 1);
     frontier.clear();
     for (graph::NodeId seed : seeds) {

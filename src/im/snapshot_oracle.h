@@ -63,6 +63,29 @@ class SnapshotSpreadOracle {
   /// currently committed seeds. Thread-safe w.r.t. other MarginalGain calls.
   double MarginalGain(graph::NodeId v, Workspace* ws) const;
 
+  /// Batch form of MarginalGain for the nodes [begin, end): sets
+  /// counts[v - begin] to the number of nodes v newly reaches, summed over
+  /// the snapshots (GainOfCount turns it into MarginalGain(v)). Runs one
+  /// snapshot at a time across the whole range, so that snapshot's adjacency
+  /// stays in cache. Thread-safe w.r.t. other const calls.
+  void ReachCounts(graph::NodeId begin, graph::NodeId end, Workspace* ws,
+                   uint64_t* counts) const;
+
+  /// Batch form of MarginalGainPair's mg2 for the nodes [begin, end):
+  /// counts[v - begin] = Σ_s |R_s(v) \ R_s(other)|, where R_s(x) is x's
+  /// reach over the uncovered nodes of snapshot s. `other`'s reach is
+  /// computed once per snapshot and each BFS from v stops at it: anything
+  /// reachable from a node in R_s(other) is in R_s(other), so the pruned
+  /// BFS visits exactly R_s(v) \ R_s(other). For v == other the count is 0.
+  void ExclusiveReachCounts(graph::NodeId other, graph::NodeId begin,
+                            graph::NodeId end, Workspace* ws,
+                            uint64_t* counts) const;
+
+  /// The average gain a summed reach count stands for.
+  double GainOfCount(uint64_t count) const {
+    return static_cast<double>(count) / static_cast<double>(num_snapshots_);
+  }
+
   /// Marginal gains of `v` with respect to (a) the committed seeds — mg1 —
   /// and (b) the committed seeds plus `other` — mg2 — in one evaluation.
   /// This is the pair CELF++ maintains (gain w.r.t. S and w.r.t.
@@ -89,6 +112,15 @@ class SnapshotSpreadOracle {
 
  private:
   SnapshotSpreadOracle() = default;
+
+  /// Marks in ws's extra stamps (a fresh extra epoch) the nodes `other`
+  /// newly reaches in snapshot s.
+  void MarkReach(size_t s, graph::NodeId other, Workspace* ws) const;
+
+  /// BFS from v over snapshot s's uncovered nodes, also skipping nodes
+  /// marked by MarkReach when kExclude; returns the number of nodes reached.
+  template <bool kExclude>
+  uint64_t CountReach(size_t s, graph::NodeId v, Workspace* ws) const;
 
   // Snapshot adjacency, concatenated: snapshot g's arcs of node u live in
   // targets_[offsets_[g * (n+1) + u] .. offsets_[g * (n+1) + u + 1]).

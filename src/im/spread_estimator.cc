@@ -27,25 +27,23 @@ Result<SpreadEstimate> EstimateSpread(const graph::TopicGraph& g,
 
   const size_t r = options.num_simulations;
   std::vector<double> counts(r);
-  auto run_one = [&](size_t i) {
-    // Deterministic per-simulation stream: results do not depend on thread
-    // scheduling or pool size.
-    Rng rng(options.seed ^ (0x51ed2700abcd1234ULL + i * 0x9e3779b97f4a7c15ULL));
-    thread_local CascadeWorkspace* ws = nullptr;
-    thread_local size_t ws_nodes = 0;
-    if (ws == nullptr || ws_nodes != g.num_nodes()) {
-      delete ws;
-      ws = new CascadeWorkspace(g.num_nodes());
-      ws_nodes = g.num_nodes();
+  // Each chunk of simulations owns a workspace sized for this graph.
+  auto run_chunk = [&](size_t begin, size_t end) {
+    CascadeWorkspace ws(g.num_nodes());
+    for (size_t i = begin; i < end; ++i) {
+      // Deterministic per-simulation stream: results do not depend on thread
+      // scheduling or pool size.
+      Rng rng(options.seed ^
+              (0x51ed2700abcd1234ULL + i * 0x9e3779b97f4a7c15ULL));
+      counts[i] = static_cast<double>(
+          SimulateCascadeCount(g, arc_probs, seeds, &rng, &ws));
     }
-    counts[i] =
-        static_cast<double>(SimulateCascadeCount(g, arc_probs, seeds, &rng, ws));
   };
 
   if (options.parallel && r >= 32) {
-    ParallelFor(0, r, run_one, options.pool);
+    ParallelForChunks(0, r, run_chunk, options.pool);
   } else {
-    for (size_t i = 0; i < r; ++i) run_one(i);
+    run_chunk(0, r);
   }
 
   double sum = 0.0, sum_sq = 0.0;

@@ -12,7 +12,7 @@ namespace core {
 
 Result<IndexPointSelection> SelectIndexPoints(
     const std::vector<simplex::TopicDistribution>& catalog,
-    const IndexPointOptions& options) {
+    const IndexPointOptions& options, ThreadPool* pool) {
   if (catalog.empty()) {
     return Status::InvalidArgument("index-point selection needs a catalog");
   }
@@ -51,6 +51,7 @@ Result<IndexPointSelection> SelectIndexPoints(
   kopts.max_iterations = options.kmeans_max_iterations;
   kopts.divergence = cluster::BregmanDivergenceKind::kKl;
   kopts.seed = rng.Next();
+  kopts.pool = pool;
   INFLEX_ASSIGN_OR_RETURN(cluster::KMeansResult clustering,
                           cluster::KMeansPlusPlus(selection.samples, kopts));
   selection.points = std::move(clustering.centroids);

@@ -6,6 +6,7 @@
 #include "simplex/topic_distribution.h"
 #include "stats/dirichlet.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace inflex {
 namespace core {
@@ -37,11 +38,13 @@ struct IndexPointSelection {
 /// Runs the paper's index-point selection: fit Dirichlet(α) to the catalog
 /// by maximum likelihood, draw `num_dirichlet_samples` points from it, and
 /// keep the h Bregman K-means++ centroids — the compromise between
-/// space-based and fully data-driven indexing discussed in §3.1.
-/// Fails on an empty catalog or h = 0.
+/// space-based and fully data-driven indexing discussed in §3.1. The
+/// K-means++ passes run on `pool` (nullptr: the process-global pool); the
+/// result does not depend on the pool size. Fails on an empty catalog or
+/// h = 0.
 Result<IndexPointSelection> SelectIndexPoints(
     const std::vector<simplex::TopicDistribution>& catalog,
-    const IndexPointOptions& options);
+    const IndexPointOptions& options, ThreadPool* pool = nullptr);
 
 /// \brief Accuracy criterion for the automatic choice of the index size h
 /// (the paper's §6 future work: "automatic determination of the number of

@@ -55,7 +55,8 @@ Result<InflexIndex> InflexIndex::Build(
 
   // Phase 1 (§3.1): select the h index points.
   INFLEX_ASSIGN_OR_RETURN(IndexPointSelection selection,
-                          SelectIndexPoints(catalog, options.index_points));
+                          SelectIndexPoints(catalog, options.index_points,
+                                            options.pool));
   const size_t h = selection.points.size();
   INFLEX_LOG(Info) << "INFLEX build: " << h << " index points selected, "
                    << "precomputing seed lists (l=" << options.seed_list_length

@@ -147,6 +147,17 @@ ThreadPool& ThreadPool::Global() {
 
 void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn,
                  ThreadPool* pool) {
+  ParallelForChunks(
+      begin, end,
+      [&fn](size_t start, size_t stop) {
+        for (size_t i = start; i < stop; ++i) fn(i);
+      },
+      pool);
+}
+
+void ParallelForChunks(size_t begin, size_t end,
+                       const std::function<void(size_t, size_t)>& fn,
+                       ThreadPool* pool) {
   if (begin >= end) return;
   const size_t n = end - begin;
   if (pool == nullptr) pool = &ThreadPool::Global();
@@ -155,7 +166,7 @@ void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn
   // from a task already running on this pool (the outer parallel stage owns
   // the workers; fanning out again would enqueue work nobody can pick up).
   if (n <= 1 || num_workers <= 1 || pool->OnWorkerThread()) {
-    for (size_t i = begin; i < end; ++i) fn(i);
+    fn(begin, end);
     return;
   }
   // One chunk per worker unless the range is large enough that per-item cost
@@ -178,8 +189,9 @@ void ParallelFor(size_t begin, size_t end, const std::function<void(size_t)>& fn
       const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
       const size_t start = begin + c * chunk;
-      const size_t stop = std::min(end, start + chunk);
-      for (size_t i = start; i < stop; ++i) fn(i);
+      // Rounding the chunk size up can leave trailing chunks empty.
+      if (start >= end) return;
+      fn(start, std::min(end, start + chunk));
     }
   };
 

@@ -118,6 +118,14 @@ void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn,
                  ThreadPool* pool = nullptr);
 
+/// ParallelFor's chunked form: calls `fn(chunk_begin, chunk_end)` once per
+/// contiguous chunk, with the same chunking and serial fallbacks (a serial
+/// fallback is one call over the whole range). The chunks are disjoint and
+/// cover [begin, end); use this when each chunk owns per-chunk scratch.
+void ParallelForChunks(size_t begin, size_t end,
+                       const std::function<void(size_t, size_t)>& fn,
+                       ThreadPool* pool = nullptr);
+
 }  // namespace inflex
 
 #endif  // INFLEX_UTIL_THREAD_POOL_H_

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "cluster/gmeans.h"
 #include "cluster/kmeans.h"
 #include "simplex/sampling.h"
 #include "stats/dirichlet.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace inflex {
 namespace cluster {
@@ -141,6 +144,128 @@ TEST(KMeansTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.ValueOrDie().assignment, b.ValueOrDie().assignment);
   EXPECT_DOUBLE_EQ(a.ValueOrDie().objective, b.ValueOrDie().objective);
+}
+
+// The serial K-means++ the pool version must reproduce bit for bit: seeding
+// and Lloyd steps exactly as they ran before the per-point passes moved to
+// the pool.
+KMeansResult SerialKMeansReference(const std::vector<TopicVector>& points,
+                                   const KMeansOptions& options) {
+  const size_t n = points.size();
+  const size_t dim = points.front().size();
+  const size_t k = std::min(options.num_clusters, n);
+  const BregmanDivergenceKind kind = options.divergence;
+  Rng rng(options.seed);
+  KMeansResult result;
+  result.centroids.push_back(points[rng.UniformInt(n)]);
+  std::vector<double> min_div(n);
+  for (size_t i = 0; i < n; ++i) {
+    min_div[i] = BregmanDivergence(kind, points[i], result.centroids.back());
+  }
+  while (result.centroids.size() < k) {
+    double total = 0.0;
+    for (double d : min_div) total += d;
+    size_t chosen = n - 1;
+    if (total <= 0.0) {
+      chosen = rng.UniformInt(n);
+    } else {
+      double r = rng.Uniform() * total;
+      for (size_t i = 0; i < n; ++i) {
+        r -= min_div[i];
+        if (r <= 0.0) {
+          chosen = i;
+          break;
+        }
+      }
+    }
+    result.centroids.push_back(points[chosen]);
+    for (size_t i = 0; i < n; ++i) {
+      min_div[i] = std::min(
+          min_div[i],
+          BregmanDivergence(kind, points[i], result.centroids.back()));
+    }
+  }
+  result.assignment.assign(n, 0);
+  std::vector<double> sums(k * dim);
+  std::vector<size_t> counts(k);
+  double prev_objective = std::numeric_limits<double>::infinity();
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    double objective = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      uint32_t best_c = 0;
+      for (size_t c = 0; c < k; ++c) {
+        const double d = BregmanDivergence(kind, points[i], result.centroids[c]);
+        if (d < best) {
+          best = d;
+          best_c = static_cast<uint32_t>(c);
+        }
+      }
+      result.assignment[i] = best_c;
+      objective += best;
+    }
+    result.objective = objective;
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0u);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t c = result.assignment[i];
+      ++counts[c];
+      for (size_t d = 0; d < dim; ++d) sums[c * dim + d] += points[i][d];
+    }
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        result.centroids[c] = points[rng.UniformInt(n)];
+        continue;
+      }
+      for (size_t d = 0; d < dim; ++d) {
+        result.centroids[c][d] =
+            sums[c * dim + d] / static_cast<double>(counts[c]);
+      }
+    }
+    if (prev_objective - objective <=
+        options.tolerance * std::max(1.0, prev_objective)) {
+      break;
+    }
+    prev_objective = objective;
+  }
+  return result;
+}
+
+void ExpectBitIdentical(const KMeansResult& got, const KMeansResult& want) {
+  ASSERT_EQ(got.centroids.size(), want.centroids.size());
+  for (size_t c = 0; c < want.centroids.size(); ++c) {
+    ASSERT_EQ(got.centroids[c].size(), want.centroids[c].size());
+    EXPECT_EQ(std::memcmp(got.centroids[c].data(), want.centroids[c].data(),
+                          want.centroids[c].size() * sizeof(double)),
+              0)
+        << "centroid " << c;
+  }
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(std::memcmp(&got.objective, &want.objective, sizeof(double)), 0);
+  EXPECT_EQ(got.iterations, want.iterations);
+}
+
+// Large enough that both the seeding and the assignment passes run on the
+// pool; every pool size must reproduce the serial reference exactly.
+TEST(KMeansTest, PoolSizeDoesNotChangeTheResult) {
+  const auto points = MakeThreeBlobs(7000, 91);
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  for (const auto kind : {BregmanDivergenceKind::kKl,
+                          BregmanDivergenceKind::kSquaredEuclidean}) {
+    KMeansOptions opts;
+    opts.num_clusters = 12;
+    opts.max_iterations = 5;
+    opts.divergence = kind;
+    opts.seed = 123;
+    const KMeansResult want = SerialKMeansReference(points, opts);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+      opts.pool = pool;
+      auto got = KMeansPlusPlus(points, opts);
+      ASSERT_TRUE(got.ok());
+      ExpectBitIdentical(got.ValueOrDie(), want);
+    }
+  }
 }
 
 // ------------------------------------------------------------------ G-means ---

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <queue>
 #include <set>
+#include <string>
 
 #include "graph/topic_graph.h"
 #include "im/cascade.h"
@@ -12,6 +15,7 @@
 #include "im/snapshot_oracle.h"
 #include "im/spread_estimator.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace inflex {
 namespace im {
@@ -388,6 +392,317 @@ TEST(SeedSelectorTest, ParallelFirstIterationMatchesSerial) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.ValueOrDie().seeds, b.ValueOrDie().seeds);
+}
+
+// ------------------------------------- first iteration vs per-node reference ---
+
+// The per-node first iteration the selectors ran before the batch calls,
+// kept as the reference. MarginalGainPair's mg1 is its own BFS, independent
+// of the batch code that MarginalGain now shares, so PerNodeGain is too.
+double PerNodeGain(const SnapshotSpreadOracle& o, NodeId v,
+                   SnapshotSpreadOracle::Workspace* ws) {
+  double mg1 = 0.0, mg2 = 0.0;
+  o.MarginalGainPair(v, v, ws, &mg1, &mg2);
+  return mg1;
+}
+
+struct RefHeapEntry {
+  double gain;
+  NodeId node;
+  uint32_t flag;
+
+  bool operator<(const RefHeapEntry& other) const {
+    if (gain != other.gain) return gain < other.gain;
+    return node > other.node;
+  }
+};
+
+constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+
+SeedSelectionResult ReferenceGreedy(SnapshotSpreadOracle* oracle, size_t k,
+                                    const SeedSelectionOptions& options) {
+  const size_t n = oracle->num_nodes();
+  oracle->ResetSeeds();
+  SeedSelectionResult result;
+  std::vector<double> gains(n);
+  std::vector<uint8_t> selected(n, 0);
+  auto ws = oracle->MakeWorkspace();
+  const bool parallel = options.parallel_first_iteration && n >= 256;
+  for (size_t iter = 0; iter < k; ++iter) {
+    for (size_t v = 0; v < n; ++v) {
+      const bool evaluate = (iter == 0 && parallel) ||
+                            (!selected[v] && IsCandidate(options, v));
+      if (!evaluate) continue;
+      gains[v] = iter == 0 ? PerNodeGain(*oracle, static_cast<NodeId>(v), &ws)
+                           : oracle->MarginalGain(static_cast<NodeId>(v), &ws);
+      ++result.num_evaluations;
+    }
+    double best_gain = -std::numeric_limits<double>::infinity();
+    size_t best_v = n;
+    for (size_t v = 0; v < n; ++v) {
+      if (selected[v] || !IsCandidate(options, v)) continue;
+      if (gains[v] > best_gain) {
+        best_gain = gains[v];
+        best_v = v;
+      }
+    }
+    selected[best_v] = 1;
+    oracle->CommitSeed(static_cast<NodeId>(best_v), &ws);
+    result.seeds.push_back(static_cast<NodeId>(best_v));
+    result.marginal_gains.push_back(best_gain);
+  }
+  result.expected_spread = oracle->CurrentSpread();
+  return result;
+}
+
+SeedSelectionResult ReferenceCelf(SnapshotSpreadOracle* oracle, size_t k,
+                                  const SeedSelectionOptions& options) {
+  const size_t n = oracle->num_nodes();
+  oracle->ResetSeeds();
+  SeedSelectionResult result;
+  auto ws = oracle->MakeWorkspace();
+  std::priority_queue<RefHeapEntry> heap;
+  for (size_t v = 0; v < n; ++v) {
+    const double gain = PerNodeGain(*oracle, static_cast<NodeId>(v), &ws);
+    if (IsCandidate(options, v)) heap.push({gain, static_cast<NodeId>(v), 0});
+  }
+  result.num_evaluations += n;
+  while (result.seeds.size() < k) {
+    RefHeapEntry top = heap.top();
+    heap.pop();
+    const uint32_t cur_size = static_cast<uint32_t>(result.seeds.size());
+    if (top.flag == cur_size) {
+      oracle->CommitSeed(top.node, &ws);
+      result.seeds.push_back(top.node);
+      result.marginal_gains.push_back(top.gain);
+    } else {
+      top.gain = oracle->MarginalGain(top.node, &ws);
+      top.flag = cur_size;
+      ++result.num_evaluations;
+      heap.push(top);
+    }
+  }
+  result.expected_spread = oracle->CurrentSpread();
+  return result;
+}
+
+SeedSelectionResult ReferenceCelfPp(SnapshotSpreadOracle* oracle, size_t k,
+                                    const SeedSelectionOptions& options) {
+  const size_t n = oracle->num_nodes();
+  oracle->ResetSeeds();
+  SeedSelectionResult result;
+  auto ws = oracle->MakeWorkspace();
+  std::vector<double> mg1(n), mg2(n);
+  std::vector<NodeId> prev_best(n, kNoNode);
+  std::vector<uint32_t> flag(n, 0);
+  for (size_t v = 0; v < n; ++v) {
+    mg1[v] = PerNodeGain(*oracle, static_cast<NodeId>(v), &ws);
+  }
+  result.num_evaluations += n;
+  NodeId best0 = kNoNode;
+  for (size_t v = 0; v < n; ++v) {
+    if (!IsCandidate(options, v)) continue;
+    if (best0 == kNoNode || mg1[v] > mg1[best0]) best0 = static_cast<NodeId>(v);
+  }
+  for (size_t v = 0; v < n; ++v) {
+    if (v == best0) {
+      mg2[v] = mg1[v];
+      continue;
+    }
+    oracle->MarginalGainPair(static_cast<NodeId>(v), best0, &ws, &mg1[v],
+                             &mg2[v]);
+    prev_best[v] = best0;
+  }
+  std::priority_queue<RefHeapEntry> heap;
+  for (size_t v = 0; v < n; ++v) {
+    if (IsCandidate(options, v)) heap.push({mg1[v], static_cast<NodeId>(v), 0});
+  }
+  std::vector<uint8_t> seeded(n, 0);
+  NodeId last_seed = kNoNode, cur_best = kNoNode;
+  double cur_best_gain = -1.0;
+  while (result.seeds.size() < k && !heap.empty()) {
+    const RefHeapEntry top = heap.top();
+    heap.pop();
+    const NodeId u = top.node;
+    if (seeded[u] || top.gain != mg1[u]) continue;
+    const uint32_t cur_size = static_cast<uint32_t>(result.seeds.size());
+    if (flag[u] == cur_size) {
+      oracle->CommitSeed(u, &ws);
+      result.seeds.push_back(u);
+      result.marginal_gains.push_back(mg1[u]);
+      seeded[u] = 1;
+      last_seed = u;
+      cur_best = kNoNode;
+      cur_best_gain = -1.0;
+      continue;
+    }
+    if (prev_best[u] == last_seed && flag[u] + 1 == cur_size &&
+        last_seed != kNoNode) {
+      mg1[u] = mg2[u];
+      prev_best[u] = kNoNode;
+    } else if (cur_best != kNoNode && cur_best != u) {
+      oracle->MarginalGainPair(u, cur_best, &ws, &mg1[u], &mg2[u]);
+      prev_best[u] = cur_best;
+      ++result.num_evaluations;
+    } else {
+      mg1[u] = oracle->MarginalGain(u, &ws);
+      mg2[u] = mg1[u];
+      prev_best[u] = kNoNode;
+      ++result.num_evaluations;
+    }
+    flag[u] = cur_size;
+    if (mg1[u] > cur_best_gain) {
+      cur_best_gain = mg1[u];
+      cur_best = u;
+    }
+    heap.push({mg1[u], u, 0});
+  }
+  result.expected_spread = oracle->CurrentSpread();
+  return result;
+}
+
+void ExpectSameResult(const SeedSelectionResult& got,
+                      const SeedSelectionResult& want, const std::string& what) {
+  EXPECT_EQ(got.seeds, want.seeds) << what;
+  EXPECT_EQ(got.marginal_gains, want.marginal_gains) << what;
+  EXPECT_EQ(got.num_evaluations, want.num_evaluations) << what;
+  EXPECT_EQ(got.expected_spread, want.expected_spread) << what;
+}
+
+SnapshotSpreadOracle MakeOracle(const TopicGraph& g, size_t snapshots,
+                                uint64_t seed) {
+  SnapshotSpreadOracle::Options opts;
+  opts.num_snapshots = snapshots;
+  opts.seed = seed;
+  return SnapshotSpreadOracle::Create(g, SingleTopicProbs(g), opts)
+      .ValueOrDie();
+}
+
+// Batch counts equal the per-node gains on every node and on any split of
+// the range into chunks, with and without committed seeds (covered nodes).
+TEST(BatchGainTest, CountsMatchPerNodeGains) {
+  for (const size_t n : {70, 300}) {
+    for (const uint64_t seed : {1, 2, 3}) {
+      const TopicGraph g = MakeRandomGraph(n, n * 5, 0.05, 0.4, seed * 17 + n);
+      SnapshotSpreadOracle o = MakeOracle(g, 25, seed);
+      auto ws = o.MakeWorkspace();
+      Rng rng(seed);
+      for (int committed = 0; committed <= 2; ++committed) {
+        if (committed > 0) {
+          o.CommitSeed(static_cast<NodeId>(rng.UniformInt(n)), &ws);
+        }
+        // A covered node, an uncovered one and a random one as `other`.
+        std::vector<NodeId> others = {static_cast<NodeId>(rng.UniformInt(n))};
+        for (NodeId v = 0; v < n; ++v) {
+          if (PerNodeGain(o, v, &ws) == 0.0) {
+            others.push_back(v);
+            break;
+          }
+        }
+        for (NodeId v = 0; v < n; ++v) {
+          if (PerNodeGain(o, v, &ws) > 1.0) {
+            others.push_back(v);
+            break;
+          }
+        }
+
+        // Random chunk boundaries, including empty and one-node chunks.
+        std::vector<size_t> cuts = {0, n};
+        for (int c = 0; c < 5; ++c) cuts.push_back(rng.UniformInt(n + 1));
+        cuts.push_back(cuts[2]);
+        std::sort(cuts.begin(), cuts.end());
+
+        std::vector<uint64_t> counts(n);
+        for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+          auto chunk_ws = o.MakeWorkspace();
+          o.ReachCounts(static_cast<NodeId>(cuts[c]),
+                        static_cast<NodeId>(cuts[c + 1]), &chunk_ws,
+                        counts.data() + cuts[c]);
+        }
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(o.GainOfCount(counts[v]), PerNodeGain(o, v, &ws))
+              << "n=" << n << " node " << v << " committed=" << committed;
+          ASSERT_EQ(o.MarginalGain(v, &ws), PerNodeGain(o, v, &ws));
+        }
+
+        for (const NodeId other : others) {
+          for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+            o.ExclusiveReachCounts(other, static_cast<NodeId>(cuts[c]),
+                                   static_cast<NodeId>(cuts[c + 1]), &ws,
+                                   counts.data() + cuts[c]);
+          }
+          for (NodeId v = 0; v < n; ++v) {
+            double mg1 = 0.0, mg2 = 0.0;
+            o.MarginalGainPair(v, other, &ws, &mg1, &mg2);
+            ASSERT_EQ(o.GainOfCount(counts[v]), v == other ? 0.0 : mg2)
+                << "n=" << n << " node " << v << " other " << other
+                << " committed=" << committed;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Greedy, CELF and CELF++ return exactly what the per-node first iteration
+// returned: seeds, gains, evaluation counts and spread, for graphs below and
+// above the parallel threshold, candidate masks on and off, serial and on
+// pools of 1, 2 and 4 workers.
+TEST(BatchGainTest, SelectorsMatchPerNodeReference) {
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  for (const size_t n : {120, 400}) {
+    const TopicGraph g = MakeRandomGraph(n, n * 5, 0.05, 0.35, 1000 + n);
+    SnapshotSpreadOracle o = MakeOracle(g, 30, n);
+    for (const bool masked : {false, true}) {
+      SeedSelectionOptions base;
+      if (masked) {
+        Rng rng(n);
+        base.candidate_mask.assign(n, 0);
+        for (size_t v = 0; v < n; ++v) base.candidate_mask[v] = rng.Bernoulli(0.4);
+      }
+      const size_t k = 10;
+      for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+        for (const bool parallel : {false, true}) {
+          SeedSelectionOptions opts = base;
+          opts.parallel_first_iteration = parallel;
+          opts.pool = pool;
+          const std::string what =
+              "n=" + std::to_string(n) + " masked=" + std::to_string(masked) +
+              " pool=" + std::to_string(pool->num_threads()) +
+              " parallel=" + std::to_string(parallel);
+          ExpectSameResult(SelectSeedsCelfPp(&o, k, opts).ValueOrDie(),
+                           ReferenceCelfPp(&o, k, opts), "CELF++ " + what);
+          ExpectSameResult(SelectSeedsCelf(&o, k, opts).ValueOrDie(),
+                           ReferenceCelf(&o, k, opts), "CELF " + what);
+          ExpectSameResult(SelectSeedsGreedy(&o, k, opts).ValueOrDie(),
+                           ReferenceGreedy(&o, k, opts), "greedy " + what);
+        }
+      }
+    }
+  }
+}
+
+// Regression: the parallel first iteration once kept a thread-local
+// workspace sized for the first oracle a worker saw, so a larger graph on
+// the same workers wrote past its stamp buffers. Two graph sizes on one
+// two-worker pool must give the serial answers (and run clean under ASan).
+TEST(BatchGainTest, WorkersSeeSmallThenLargeGraph) {
+  ThreadPool pool(2);
+  for (const size_t n : {260, 1500}) {
+    const TopicGraph g = MakeRandomGraph(n, n * 4, 0.05, 0.3, n);
+    SnapshotSpreadOracle o = MakeOracle(g, 20, 5);
+    SeedSelectionOptions parallel;
+    parallel.pool = &pool;
+    SeedSelectionOptions serial;
+    serial.parallel_first_iteration = false;
+    ExpectSameResult(SelectSeedsCelfPp(&o, 5, parallel).ValueOrDie(),
+                     SelectSeedsCelfPp(&o, 5, serial).ValueOrDie(), "CELF++");
+    ExpectSameResult(SelectSeedsCelf(&o, 5, parallel).ValueOrDie(),
+                     SelectSeedsCelf(&o, 5, serial).ValueOrDie(), "CELF");
+    const auto greedy = SelectSeedsGreedy(&o, 5, parallel).ValueOrDie();
+    EXPECT_EQ(greedy.seeds,
+              SelectSeedsGreedy(&o, 5, serial).ValueOrDie().seeds);
+  }
 }
 
 // ---------------------------------------------------------------- heuristics ---

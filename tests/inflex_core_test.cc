@@ -427,6 +427,44 @@ TEST(InflexIndexBuildTest, ValidatesOptions) {
   EXPECT_FALSE(InflexIndex::Build(ds.ValueOrDie().graph, {}, {}).ok());
 }
 
+// The build is bit-identical whatever runs it in parallel: the CELF++ runs
+// across points (parallel_precompute) and the K-means++ passes on the pool.
+// The Dirichlet sample is large enough for both K-means passes to use it.
+TEST(InflexIndexBuildTest, PoolAndParallelPrecomputeDoNotChangeTheIndex) {
+  data::SyntheticDatasetOptions dopts;
+  dopts.num_users = 200;
+  dopts.num_topics = 3;
+  dopts.num_items = 60;
+  dopts.seed = 47;
+  auto ds = data::GenerateSyntheticDataset(dopts);
+  ASSERT_TRUE(ds.ok());
+  ThreadPool pool1(1), pool4(4);
+  std::vector<InflexIndex> built;
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    for (const bool parallel : {false, true}) {
+      InflexBuildOptions bopts;
+      bopts.index_points.num_index_points = 12;
+      bopts.index_points.num_dirichlet_samples = 20000;
+      bopts.seed_list_length = 8;
+      bopts.oracle_snapshots = 20;
+      bopts.parallel_precompute = parallel;
+      bopts.pool = pool;
+      auto index = InflexIndex::Build(ds.ValueOrDie().graph,
+                                      ds.ValueOrDie().catalog, bopts);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      built.push_back(std::move(index).ValueOrDie());
+    }
+  }
+  const InflexIndex& want = built.front();
+  for (const InflexIndex& got : built) {
+    ASSERT_EQ(got.num_index_points(), want.num_index_points());
+    for (uint32_t i = 0; i < want.num_index_points(); ++i) {
+      EXPECT_EQ(got.index_point(i), want.index_point(i)) << "point " << i;
+      EXPECT_EQ(got.seed_list(i), want.seed_list(i)) << "point " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace inflex

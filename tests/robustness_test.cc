@@ -3,6 +3,8 @@
 // byte corruption, and API boundaries must reject hostile input.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,8 +22,22 @@
 namespace inflex {
 namespace {
 
+// A directory of this process's own: ctest runs each case as a separate
+// process, in parallel, and every process's SetUpTestSuite writes the same
+// file names that the cases then damage and reload.
+const std::string& ProcessTempDir() {
+  static const std::string dir = [] {
+    std::string pattern = testing::TempDir() + "/inflex_robustness_XXXXXX";
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      ADD_FAILURE() << "mkdtemp failed for " << pattern;
+    }
+    return pattern;
+  }();
+  return dir;
+}
+
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return ProcessTempDir() + "/" + name;
 }
 
 std::vector<char> ReadAll(const std::string& path) {
@@ -67,6 +83,7 @@ class ArtifactFuzzTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete dataset_;
     dataset_ = nullptr;
+    std::filesystem::remove_all(ProcessTempDir());
   }
 
   // Attempts to load `path` with the matching loader; must return a Status

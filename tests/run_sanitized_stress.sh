@@ -4,11 +4,12 @@
 # directory and runs them. Any data race in the sharded QueryCache, the
 # QueryEngine batch path, the ThreadPool re-entrancy logic, or the
 # IndexMaintainer generation-swap pipeline fails this script.
-# A second phase builds kernel_test and rank_test under ASan+UBSan
-# (-DINFLEX_SANITIZE=address): the KL kernel layer works on raw pointers into
-# flat SoA buffers that Insert() reallocates, and rank aggregation indexes
-# its dense preference tally by raw row offsets — exactly the kind of code
-# ASan exists for.
+# A second phase builds kernel_test, rank_test, im_test and extensions_test
+# under ASan+UBSan (-DINFLEX_SANITIZE=address): the KL kernel layer works on
+# raw pointers into flat SoA buffers that Insert() reallocates, rank
+# aggregation indexes its dense preference tally by raw row offsets, and the
+# snapshot oracle's BFS indexes per-chunk workspaces by node id — exactly
+# the kind of code ASan exists for.
 #
 # Usage: tests/run_sanitized_stress.sh [source-dir] [build-dir] [asan-dir]
 # (defaults: the repo root containing this script, <source>/build-tsan,
@@ -89,9 +90,9 @@ cmake -B "$BUILD_ASAN" -S "$SRC" \
   -DINFLEX_BUILD_TOOLS=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 
-echo "== build (kernel_test rank_test)"
-cmake --build "$BUILD_ASAN" --target kernel_test rank_test -j "$(nproc)" \
-  > /dev/null
+echo "== build (kernel_test rank_test im_test extensions_test)"
+cmake --build "$BUILD_ASAN" --target kernel_test rank_test im_test \
+  extensions_test -j "$(nproc)" > /dev/null
 
 echo "== run KL kernel + SoA search tests under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
@@ -111,4 +112,15 @@ ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}" \
   "$BUILD_ASAN/tests/rank_test"
 
-echo "ASan kernel + rank tests: OK (dispatched + forced-scalar kernels)"
+echo "== run seed-selection + extensions tests under ASan+UBSan"
+# Each as one binary, so worker threads see oracles over graphs of several
+# sizes in turn (the batch first iteration's per-chunk workspaces; a
+# workspace kept per thread once overran its buffers here).
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/im_test"
+ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
+UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}" \
+  "$BUILD_ASAN/tests/extensions_test"
+
+echo "ASan kernel, rank, im and extensions tests: OK (dispatched + forced-scalar kernels)"

@@ -201,6 +201,27 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+// Chunks are non-empty, disjoint and cover the range, including sizes where
+// rounding the chunk size up leaves fewer chunks than workers.
+TEST(ThreadPoolTest, ParallelForChunksCoverRangeWithoutEmptyChunks) {
+  ThreadPool pool(4);
+  for (const size_t n : {2, 5, 9, 13, 255, 256, 1000}) {
+    std::vector<int> hits(n + 3, 0);
+    std::atomic<int> empty_chunks{0};
+    ParallelForChunks(
+        3, n + 3,
+        [&](size_t begin, size_t end) {
+          if (begin >= end) empty_chunks++;
+          for (size_t i = begin; i < end; ++i) hits[i]++;
+        },
+        &pool);
+    EXPECT_EQ(empty_chunks.load(), 0) << n;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i], i < 3 ? 0 : 1) << n << " " << i;
+    }
+  }
+}
+
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
