@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "simplex/divergence.h"
@@ -26,21 +25,6 @@ double BregmanDivergence(BregmanDivergenceKind kind,
 
 namespace {
 
-// Below this many divergence evaluations a pass runs serially: handing it to
-// the pool would cost more than it saves (the bb-tree's small node splits).
-constexpr size_t kMinParallelEvals = 1 << 14;
-
-// Runs fn(begin, end) over chunks of the n points, on the pool when one pass
-// costs at least kMinParallelEvals evaluations.
-void ForEachPointChunk(size_t n, size_t evals_per_point, ThreadPool* pool,
-                       const std::function<void(size_t, size_t)>& fn) {
-  if (n * evals_per_point < kMinParallelEvals) {
-    fn(0, n);
-  } else {
-    ParallelForChunks(0, n, fn, pool);
-  }
-}
-
 // K-means++ seeding: first center uniform, then proportional to the current
 // divergence to the closest chosen center.
 std::vector<simplex::TopicVector> SeedCenters(
@@ -58,7 +42,7 @@ std::vector<simplex::TopicVector> SeedCenters(
       min_div[i] = centers.size() == 1 ? d : std::min(min_div[i], d);
     }
   };
-  ForEachPointChunk(n, 1, pool, update_min_div);
+  ParallelForChunks(0, n, update_min_div, pool);
   while (centers.size() < k) {
     double total = 0.0;
     for (double d : min_div) total += d;
@@ -78,7 +62,7 @@ std::vector<simplex::TopicVector> SeedCenters(
       }
     }
     centers.push_back(points[chosen]);
-    ForEachPointChunk(n, 1, pool, update_min_div);
+    ParallelForChunks(0, n, update_min_div, pool);
   }
   return centers;
 }
@@ -134,7 +118,7 @@ Result<KMeansResult> KMeansPlusPlus(
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
     // Assignment step, then the objective summed in point order.
-    ForEachPointChunk(n, k, options.pool, assign);
+    ParallelForChunks(0, n, assign, options.pool);
     double objective = 0.0;
     for (double d : best_div) objective += d;
     result.objective = objective;

@@ -74,16 +74,18 @@ Result<SeedSelectionResult> SelectSeedsGreedy(
   result.seeds.reserve(k);
   result.marginal_gains.reserve(k);
 
-  std::vector<double> gains;
+  std::vector<double> gains(n);
   std::vector<uint8_t> selected(n, 0);
   auto ws = oracle->MakeWorkspace();
+  // The batch pass covers every node; a serial first iteration under a
+  // candidate mask evaluates only the candidates, like the later ones.
+  const bool batch_first =
+      ParallelFirstIteration(options, n) || eligible == n;
 
   for (size_t iter = 0; iter < k; ++iter) {
-    if (iter == 0) {
+    if (iter == 0 && batch_first) {
       gains = FirstIterationGains(*oracle, options);
-      // The parallel pass counts every node, the serial one the candidates.
-      result.num_evaluations +=
-          ParallelFirstIteration(options, n) ? n : eligible;
+      result.num_evaluations += n;
     } else {
       for (size_t v = 0; v < n; ++v) {
         if (selected[v] || !IsCandidate(options, v)) continue;

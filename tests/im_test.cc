@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <set>
@@ -578,6 +579,15 @@ SnapshotSpreadOracle MakeOracle(const TopicGraph& g, size_t snapshots,
       .ValueOrDie();
 }
 
+// Σ_s |R_s(seeds)|, from SpreadOf's own multi-source BFS: it ignores the
+// committed seeds and shares no code with the batch passes.
+uint64_t TotalReach(const SnapshotSpreadOracle& o,
+                    const std::vector<NodeId>& seeds,
+                    SnapshotSpreadOracle::Workspace* ws) {
+  return static_cast<uint64_t>(std::llround(
+      o.SpreadOf(seeds, ws) * static_cast<double>(o.num_snapshots())));
+}
+
 // Batch counts equal the per-node gains on every node and on any split of
 // the range into chunks, with and without committed seeds (covered nodes).
 TEST(BatchGainTest, CountsMatchPerNodeGains) {
@@ -587,9 +597,11 @@ TEST(BatchGainTest, CountsMatchPerNodeGains) {
       SnapshotSpreadOracle o = MakeOracle(g, 25, seed);
       auto ws = o.MakeWorkspace();
       Rng rng(seed);
+      std::vector<NodeId> committed_seeds;
       for (int committed = 0; committed <= 2; ++committed) {
         if (committed > 0) {
-          o.CommitSeed(static_cast<NodeId>(rng.UniformInt(n)), &ws);
+          committed_seeds.push_back(static_cast<NodeId>(rng.UniformInt(n)));
+          o.CommitSeed(committed_seeds.back(), &ws);
         }
         // A covered node, an uncovered one and a random one as `other`.
         std::vector<NodeId> others = {static_cast<NodeId>(rng.UniformInt(n))};
@@ -625,18 +637,29 @@ TEST(BatchGainTest, CountsMatchPerNodeGains) {
           ASSERT_EQ(o.MarginalGain(v, &ws), PerNodeGain(o, v, &ws));
         }
 
+        // The covered nodes are R_s(C) for the committed seeds C, which is
+        // closed under reachability, so |R_s(v) \ R_s(other)| over the
+        // uncovered nodes is |R_s(C + other + v)| - |R_s(C + other)|.
         for (const NodeId other : others) {
           for (size_t c = 0; c + 1 < cuts.size(); ++c) {
             o.ExclusiveReachCounts(other, static_cast<NodeId>(cuts[c]),
                                    static_cast<NodeId>(cuts[c + 1]), &ws,
                                    counts.data() + cuts[c]);
           }
+          std::vector<NodeId> with_other = committed_seeds;
+          with_other.push_back(other);
+          const uint64_t base = TotalReach(o, with_other, &ws);
+          with_other.push_back(0);
           for (NodeId v = 0; v < n; ++v) {
-            double mg1 = 0.0, mg2 = 0.0;
-            o.MarginalGainPair(v, other, &ws, &mg1, &mg2);
-            ASSERT_EQ(o.GainOfCount(counts[v]), v == other ? 0.0 : mg2)
+            with_other.back() = v;
+            const uint64_t want = TotalReach(o, with_other, &ws) - base;
+            ASSERT_EQ(counts[v], want)
                 << "n=" << n << " node " << v << " other " << other
                 << " committed=" << committed;
+            // The reference CELF++ below takes its mg2 from MarginalGainPair.
+            double mg1 = 0.0, mg2 = 0.0;
+            o.MarginalGainPair(v, other, &ws, &mg1, &mg2);
+            ASSERT_EQ(mg2, o.GainOfCount(want));
           }
         }
       }
