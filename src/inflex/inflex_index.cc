@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "im/celfpp.h"
 #include "im/snapshot_oracle.h"
@@ -105,8 +108,15 @@ Result<InflexIndex> InflexIndex::Build(
     INFLEX_RETURN_NOT_OK(s);
   }
 
-  return FromParts(&graph, std::move(selection.points), std::move(seed_lists),
-                   options.tree);
+  Result<InflexIndex> index = FromParts(
+      &graph, std::move(selection.points), std::move(seed_lists), options.tree);
+#if defined(__GLIBC__)
+  // Each pool worker that built an oracle freed its buffers into its own
+  // malloc arena, where they would stay resident for the life of the
+  // process; hand the free pages of every arena back to the OS.
+  malloc_trim(0);
+#endif
+  return index;
 }
 
 Result<InflexIndex> InflexIndex::FromParts(

@@ -154,6 +154,33 @@ uint64_t QueryCache::SumStripes(const std::vector<CounterStripe>& stripes) {
   return total;
 }
 
+std::optional<QueryResult> QueryCache::FindHit(const CacheKey& key,
+                                               const Timer& timer) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) return std::nullopt;
+  BumpStripe(hit_stripes_);
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  QueryResult result = it->second->result;
+  // This answer skipped the search/aggregation stages entirely: report
+  // zero stage timings and stats rather than the original run's, and
+  // flag the hit. Only total_ms reflects this serving's cost.
+  result.similarity_search_ms = 0.0;
+  result.aggregation_ms = 0.0;
+  result.search_stats = bbtree::SearchStats{};
+  result.from_cache = true;
+  result.total_ms = timer.ElapsedMillis();
+  return result;
+}
+
+std::optional<QueryResult> QueryCache::Lookup(
+    const simplex::TopicDistribution& item, size_t k,
+    const QueryOptions& query_options, uint64_t epoch) {
+  Timer timer;
+  return FindHit(MakeKey(item, k, query_options, epoch), timer);
+}
+
 Result<QueryResult> QueryCache::Query(const InflexIndex& index,
                                       const simplex::TopicDistribution& item,
                                       size_t k,
@@ -161,25 +188,10 @@ Result<QueryResult> QueryCache::Query(const InflexIndex& index,
                                       uint64_t epoch) {
   Timer timer;
   const CacheKey key = MakeKey(item, k, query_options, epoch);
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      BumpStripe(hit_stripes_);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      QueryResult result = it->second->result;
-      // This answer skipped the search/aggregation stages entirely: report
-      // zero stage timings and stats rather than the original run's, and
-      // flag the hit. Only total_ms reflects this serving's cost.
-      result.similarity_search_ms = 0.0;
-      result.aggregation_ms = 0.0;
-      result.search_stats = bbtree::SearchStats{};
-      result.from_cache = true;
-      result.total_ms = timer.ElapsedMillis();
-      return result;
-    }
+  if (std::optional<QueryResult> hit = FindHit(key, timer)) {
+    return std::move(*hit);
   }
+  Shard& shard = ShardFor(key);
   // Miss: run the index outside the shard lock so a slow query does not
   // serialize the shard. Concurrent misses on one key may duplicate work;
   // the answers are identical, so whichever insert lands last wins.

@@ -6,10 +6,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "inflex/inflex_index.h"
+#include "util/timer.h"
 
 namespace inflex {
 namespace core {
@@ -84,6 +86,16 @@ class QueryCache {
                             const QueryOptions& query_options = {},
                             uint64_t epoch = 0);
 
+  /// Hit-only probe: the cached answer for the cell, counted as a hit and
+  /// reported like Query() reports a hit; std::nullopt on a miss, which is
+  /// neither counted nor computed (the caller serves it through Query(),
+  /// which counts it). Lets a front end answer hits without handing them
+  /// to a worker.
+  std::optional<QueryResult> Lookup(const simplex::TopicDistribution& item,
+                                    size_t k,
+                                    const QueryOptions& query_options = {},
+                                    uint64_t epoch = 0);
+
   /// Drops every entry (call after mutating the index).
   void Clear();
 
@@ -156,6 +168,10 @@ class QueryCache {
 
   CacheKey MakeKey(const simplex::TopicDistribution& item, size_t k,
                    const QueryOptions& query_options, uint64_t epoch) const;
+  /// The hit half of Query() and Lookup(): counts and returns a hit, or
+  /// returns std::nullopt without counting. `timer` started before the key
+  /// was hashed, so total_ms covers the whole probe.
+  std::optional<QueryResult> FindHit(const CacheKey& key, const Timer& timer);
   Shard& ShardFor(const CacheKey& key) {
     // High bits pick the shard; the map consumes the low bits, so shard and
     // bucket selection stay decorrelated.

@@ -80,6 +80,13 @@ QueryEngine::QueryEngine(const InflexIndex* index,
                       std::shared_ptr<const InflexIndex>(), index),
                   options) {}
 
+void QueryEngine::CreditAnswer(const Generation& gen, QueryResult* result) {
+  result->generation = gen.epoch;
+  if (hit_accounting_ != nullptr) {
+    hit_accounting_->Record(gen.epoch, result->neighbors_used);
+  }
+}
+
 Result<QueryResult> QueryEngine::Query(const QueryRequest& request) {
   // Pin the generation: the shared_ptr copy keeps this index (and the
   // epoch the cache key is derived from) alive and consistent for the whole
@@ -90,15 +97,31 @@ Result<QueryResult> QueryEngine::Query(const QueryRequest& request) {
           ? cache_.Query(*gen->index, request.item, request.k, request.options,
                          gen->epoch)
           : gen->index->Query(request.item, request.k, request.options);
-  if (result.ok()) {
-    result.ValueOrDie().generation = gen->epoch;
-    // Credit the index points that backed this answer (cache hits included:
-    // a point behind a hot cached answer is still earning its keep).
-    if (hit_accounting_ != nullptr) {
-      hit_accounting_->Record(gen->epoch, result.ValueOrDie().neighbors_used);
-    }
-  }
+  if (result.ok()) CreditAnswer(*gen, &result.ValueOrDie());
   return result;
+}
+
+std::optional<QueryResult> QueryEngine::LookupCached(
+    const QueryRequest& request) {
+  if (!options_.enable_cache) return std::nullopt;
+  BeginBatchSpan();
+  Timer t;
+  const std::shared_ptr<const Generation> gen = PinGeneration();
+  std::optional<QueryResult> hit =
+      cache_.Lookup(request.item, request.k, request.options, gen->epoch);
+  if (hit.has_value()) CreditAnswer(*gen, &*hit);
+  const double latency_ms = t.ElapsedMillis();
+  EndBatchSpan();
+  if (!hit.has_value()) return std::nullopt;
+
+  ServingStats one;
+  one.num_requests = 1;
+  one.num_ok = 1;
+  one.cache_hits = 1;
+  one.mean_ms = latency_ms;
+  one.max_ms = latency_ms;
+  FoldStats(one, std::span<const double>(&latency_ms, 1));
+  return hit;
 }
 
 std::vector<Result<QueryResult>> QueryEngine::QueryBatch(
@@ -106,8 +129,6 @@ std::vector<Result<QueryResult>> QueryEngine::QueryBatch(
   const size_t n = requests.size();
   std::vector<Result<QueryResult>> results(n, Status::Internal("not served"));
   std::vector<double> latencies_ms(n, 0.0);
-  const uint64_t hits_before = cache_.hits();
-  const uint64_t misses_before = cache_.misses();
 
   BeginBatchSpan();
   Timer wall;
@@ -127,17 +148,19 @@ std::vector<Result<QueryResult>> QueryEngine::QueryBatch(
   for (const auto& r : results) {
     if (r.ok()) {
       ++batch.num_ok;
+      if (r.ValueOrDie().from_cache) ++batch.cache_hits;
     } else {
       ++batch.num_failed;
     }
   }
-  batch.cache_hits = cache_.hits() - hits_before;
-  batch.cache_misses = cache_.misses() - misses_before;
+  // Counted per answer rather than as a delta of the shared cache counters,
+  // which concurrent batches and LookupCached hits also move. Every request
+  // that was not a hit took the cache's miss path (failures included).
+  if (options_.enable_cache) batch.cache_misses = n - batch.cache_hits;
   batch.wall_ms = batch_wall_ms;
   batch.qps = batch.wall_ms > 0.0
                   ? static_cast<double>(n) / (batch.wall_ms / 1e3)
                   : 0.0;
-  double latency_sum_ms = 0.0;
   if (n > 0) {
     batch.mean_ms = stats::Mean(latencies_ms);
     batch.p50_ms = stats::Percentile(latencies_ms, 0.50);
@@ -145,10 +168,14 @@ std::vector<Result<QueryResult>> QueryEngine::QueryBatch(
     batch.p99_ms = stats::Percentile(latencies_ms, 0.99);
     batch.max_ms = *std::max_element(latencies_ms.begin(), latencies_ms.end());
     batch.latency_samples = n;
-    latency_sum_ms = batch.mean_ms * static_cast<double>(n);
   }
   if (stats != nullptr) *stats = batch;
+  FoldStats(batch, latencies_ms);
+  return results;
+}
 
+void QueryEngine::FoldStats(const ServingStats& batch,
+                            std::span<const double> latencies_ms) {
   // Fold the whole batch into ONE stripe (dealt round-robin): concurrent
   // batchers hit distinct stripe mutexes almost always, so the fold never
   // serializes the serving plane the way a single engine-wide stats lock
@@ -156,33 +183,31 @@ std::vector<Result<QueryResult>> QueryEngine::QueryBatch(
   StatsStripe& stripe = *stats_stripes_[stripe_rr_.fetch_add(
                                             1, std::memory_order_relaxed) %
                                         kStatsStripes];
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.num_requests += batch.num_requests;
-    stripe.num_ok += batch.num_ok;
-    stripe.num_failed += batch.num_failed;
-    stripe.cache_hits += batch.cache_hits;
-    stripe.cache_misses += batch.cache_misses;
-    stripe.latency_total_ms += latency_sum_ms;
-    stripe.latency_max_ms = std::max(stripe.latency_max_ms, batch.max_ms);
-    // Algorithm R over this stripe's share of the stream: each of the
-    // `seen` observations routed here ends up in the stripe reservoir with
-    // equal probability. Round-robin dealing keeps the shares near-equal,
-    // so concatenating the stripes at read approximates one uniform
-    // reservoir over all requests.
-    for (double v : latencies_ms) {
-      ++stripe.seen;
-      if (stripe.reservoir.size() < kStripeReservoirCapacity) {
-        stripe.reservoir.push_back(v);
-      } else {
-        const uint64_t j = stripe.rng.UniformInt(stripe.seen);
-        if (j < kStripeReservoirCapacity) {
-          stripe.reservoir[static_cast<size_t>(j)] = v;
-        }
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  stripe.num_requests += batch.num_requests;
+  stripe.num_ok += batch.num_ok;
+  stripe.num_failed += batch.num_failed;
+  stripe.cache_hits += batch.cache_hits;
+  stripe.cache_misses += batch.cache_misses;
+  stripe.latency_total_ms +=
+      batch.mean_ms * static_cast<double>(batch.num_requests);
+  stripe.latency_max_ms = std::max(stripe.latency_max_ms, batch.max_ms);
+  // Algorithm R over this stripe's share of the stream: each of the
+  // `seen` observations routed here ends up in the stripe reservoir with
+  // equal probability. Round-robin dealing keeps the shares near-equal,
+  // so concatenating the stripes at read approximates one uniform
+  // reservoir over all requests.
+  for (double v : latencies_ms) {
+    ++stripe.seen;
+    if (stripe.reservoir.size() < kStripeReservoirCapacity) {
+      stripe.reservoir.push_back(v);
+    } else {
+      const uint64_t j = stripe.rng.UniformInt(stripe.seen);
+      if (j < kStripeReservoirCapacity) {
+        stripe.reservoir[static_cast<size_t>(j)] = v;
       }
     }
   }
-  return results;
 }
 
 void QueryEngine::BeginBatchSpan() {

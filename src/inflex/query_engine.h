@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -158,6 +159,14 @@ class QueryEngine {
   /// `generation` field records the epoch of the generation that served it.
   Result<QueryResult> Query(const QueryRequest& request);
 
+  /// Hit-only serving: when the cache holds the answer, returns it exactly
+  /// as Query() would (generation pinned, hit accounting credited) and
+  /// folds it into cumulative_stats() as a one-request batch. A miss
+  /// returns std::nullopt and counts nothing anywhere; serve it through
+  /// Query() or QueryBatch(). Always std::nullopt when the cache is off.
+  /// Thread-safe; the network front end calls it on its IO threads.
+  std::optional<QueryResult> LookupCached(const QueryRequest& request);
+
   /// Serves a batch by fanning the requests across the pool; results are
   /// positionally aligned with the requests. Per-batch stats (latency
   /// percentiles, hit rate, QPS) are written to `stats` when non-null and
@@ -255,6 +264,11 @@ class QueryEngine {
     return generation_.load(std::memory_order_acquire);
   }
 
+  /// Stamps `result` with the generation that served it and credits the
+  /// index points behind it (cache hits included: a point behind a hot
+  /// cached answer is still earning its keep).
+  void CreditAnswer(const Generation& gen, QueryResult* result);
+
   QueryEngineOptions options_;
   QueryCache cache_;
 
@@ -300,6 +314,11 @@ class QueryEngine {
   void BeginBatchSpan();
   void EndBatchSpan();
   double ServingWallMs() const;
+
+  /// Folds one served batch (counts from `batch`, one latency sample per
+  /// request) into one stats stripe, dealt round-robin.
+  void FoldStats(const ServingStats& batch,
+                 std::span<const double> latencies_ms);
 
   std::vector<std::unique_ptr<StatsStripe>> stats_stripes_;
   std::atomic<uint64_t> stripe_rr_{0};

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "util/check.h"
@@ -32,6 +33,27 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+void RaisePeak(std::atomic<size_t>& peak, size_t value) {
+  size_t seen = peak.load(std::memory_order_relaxed);
+  while (value > seen && !peak.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+/// The wire form of an answered query (queue_ms is the caller's).
+WireResponse AnswerResponse(const core::QueryResult& qr) {
+  WireResponse resp;
+  resp.status = WireStatus::kOk;
+  resp.from_cache = qr.from_cache;
+  resp.epsilon_exact = qr.epsilon_exact;
+  resp.epoch = qr.generation;
+  resp.seeds = qr.seeds;
+  resp.similarity_search_ms = qr.similarity_search_ms;
+  resp.aggregation_ms = qr.aggregation_ms;
+  resp.engine_ms = qr.total_ms;
+  return resp;
+}
+
 }  // namespace
 
 std::string ServerStats::ToString() const {
@@ -40,7 +62,8 @@ std::string ServerStats::ToString() const {
       buf, sizeof(buf),
       "net: %llu conns | %llu req, %llu resp | %llu ok, %llu failed | "
       "%llu shed, %llu expired, %llu draining | %llu deltas (%llu deferred) | "
-      "%llu malformed | queue %zu (peak %zu)",
+      "%llu malformed, %llu accept failures | queue %zu (peak %zu) | "
+      "write backlog peak %zu B",
       static_cast<unsigned long long>(connections_accepted),
       static_cast<unsigned long long>(requests_received),
       static_cast<unsigned long long>(responses_sent),
@@ -51,8 +74,9 @@ std::string ServerStats::ToString() const {
       static_cast<unsigned long long>(rejected_draining),
       static_cast<unsigned long long>(deltas_submitted),
       static_cast<unsigned long long>(deltas_deferred),
-      static_cast<unsigned long long>(malformed), queue_depth,
-      queue_depth_peak);
+      static_cast<unsigned long long>(malformed),
+      static_cast<unsigned long long>(accept_failures), queue_depth,
+      queue_depth_peak, write_backlog_peak);
   return std::string(buf);
 }
 
@@ -262,8 +286,11 @@ ServerStats InflexServer::stats() const {
   out.malformed = counters_.malformed.load(std::memory_order_relaxed);
   out.rejected_draining =
       counters_.rejected_draining.load(std::memory_order_relaxed);
+  out.accept_failures =
+      counters_.accept_failures.load(std::memory_order_relaxed);
   out.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   out.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
+  out.write_backlog_peak = write_backlog_peak_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -279,10 +306,7 @@ void InflexServer::WakeAllLoops() {
 
 void InflexServer::PublishQueueDepth(size_t depth) {
   queue_depth_.store(depth, std::memory_order_relaxed);
-  size_t peak = queue_depth_peak_.load(std::memory_order_relaxed);
-  while (depth > peak && !queue_depth_peak_.compare_exchange_weak(
-                             peak, depth, std::memory_order_relaxed)) {
-  }
+  RaisePeak(queue_depth_peak_, depth);
   engine_->ReportAdmissionQueue(depth);
 }
 
@@ -291,6 +315,7 @@ void InflexServer::PublishQueueDepth(size_t depth) {
 // ---------------------------------------------------------------------------
 
 void InflexServer::IoLoop(IoLoopState* loop) {
+  using Clock = std::chrono::steady_clock;
   std::vector<pollfd> pfds;
   std::vector<uint64_t> pfd_conn;  // conn id per pollfd (0 = not a conn)
 
@@ -299,26 +324,39 @@ void InflexServer::IoLoop(IoLoopState* loop) {
     pfd_conn.clear();
     pfds.push_back({loop->wake_pipe[0], POLLIN, 0});
     pfd_conn.push_back(0);
-    const bool accepting = !draining_.load(std::memory_order_acquire);
-    if (!accepting && loop->listen_fd >= 0) {
+    const bool draining = draining_.load(std::memory_order_acquire);
+    if (draining && loop->listen_fd >= 0) {
       // Close the listen socket the moment draining starts: connects must
       // fail fast instead of completing into the kernel backlog where no
       // one will ever read them.
       ::close(loop->listen_fd);
       loop->listen_fd = -1;
     }
+    int timeout_ms = 100;
+    bool accepting = !draining;
+    if (accepting) {
+      const auto backoff_left = loop->accept_resume_at - Clock::now();
+      if (backoff_left > Clock::duration::zero()) {
+        accepting = false;
+        timeout_ms = static_cast<int>(
+            std::chrono::ceil<std::chrono::milliseconds>(backoff_left)
+                .count());
+      }
+    }
     if (accepting) {
       pfds.push_back({loop->listen_fd, POLLIN, 0});
       pfd_conn.push_back(0);
     }
     for (auto& [id, conn] : loop->connections) {
-      short events = conn->saw_eof ? 0 : POLLIN;
+      const bool reading = !conn->saw_eof && !conn->read_paused &&
+                           UnsentBytes(*conn) < kMaxUnsentBytes;
+      short events = reading ? POLLIN : 0;
       if (conn->woff < conn->wbuf.size()) events |= POLLOUT;
       pfds.push_back({conn->fd, events, 0});
       pfd_conn.push_back(id);
     }
 
-    ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/100);
+    ::poll(pfds.data(), pfds.size(), timeout_ms);
 
     if (pfds[0].revents & POLLIN) {
       char drain[256];
@@ -346,12 +384,19 @@ void InflexServer::IoLoop(IoLoopState* loop) {
         FlushConnection(conn);
       }
     }
-    // Sweep closures last so no helper above ever holds a dangling pointer.
+    // Resume parsing where back-pressure stopped it once the client has
+    // read below the cap (no new bytes need arrive), then sweep closures
+    // last so no helper above ever holds a dangling pointer.
     std::vector<uint64_t> to_close;
     for (auto& [id, conn] : loop->connections) {
+      if (conn->read_paused && !conn->broken &&
+          UnsentBytes(*conn) < kMaxUnsentBytes) {
+        ParseFrames(conn.get());
+      }
       if (conn->broken ||
-          (conn->close_after_flush && conn->woff >= conn->wbuf.size() &&
-           conn->parked.empty() && conn->next_seq_out == conn->next_seq_in)) {
+          (conn->close_after_flush && !conn->read_paused &&
+           conn->woff >= conn->wbuf.size() && conn->parked.empty() &&
+           conn->next_seq_out == conn->next_seq_in)) {
         to_close.push_back(id);
       }
     }
@@ -377,8 +422,20 @@ void InflexServer::AcceptNew(IoLoopState* loop) {
   while (true) {
     int fd = ::accept(loop->listen_fd, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-      INFLEX_LOG(Warning) << "accept failed: " << std::strerror(errno);
+      const int err = errno;
+      if (err == EAGAIN || err == EWOULDBLOCK || err == EINTR) return;
+      // The peer gave up before we accepted: its slot is gone, go on.
+      if (err == ECONNABORTED) continue;
+      // Out of descriptors (EMFILE/ENFILE) or memory: the connection stays
+      // in the backlog and keeps the listen socket readable, so polling it
+      // again at once would spin. Leave it out of poll for a back-off,
+      // with one warning per back-off.
+      counters_.accept_failures.fetch_add(1, std::memory_order_relaxed);
+      loop->accept_resume_at =
+          std::chrono::steady_clock::now() + kAcceptBackoff;
+      INFLEX_LOG(Warning) << "accept failed: " << std::strerror(err)
+                          << "; not accepting for " << kAcceptBackoff.count()
+                          << " ms";
       return;
     }
     if (!SetNonBlocking(fd).ok()) {
@@ -413,7 +470,7 @@ void InflexServer::CloseConnection(IoLoopState* loop, uint64_t conn_id) {
 
 void InflexServer::ReadFrom(Connection* conn) {
   uint8_t chunk[16 * 1024];
-  while (true) {
+  while (UnsentBytes(*conn) < kMaxUnsentBytes) {
     ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn->rbuf.insert(conn->rbuf.end(), chunk, chunk + n);
@@ -429,9 +486,23 @@ void InflexServer::ReadFrom(Connection* conn) {
     conn->broken = true;
     return;
   }
+  ParseFrames(conn);
+}
 
+void InflexServer::ParseFrames(Connection* conn) {
+  conn->read_paused = false;
   size_t off = 0;
-  while (true) {
+  while (!conn->poisoned) {
+    if (UnsentBytes(*conn) >= kMaxUnsentBytes) {
+      // Back-pressure: push what the socket takes; if the client still has
+      // not read enough, leave the remaining frames in rbuf until it has.
+      FlushConnection(conn);
+      if (conn->broken) return;
+      if (UnsentBytes(*conn) >= kMaxUnsentBytes) {
+        conn->read_paused = true;
+        break;
+      }
+    }
     std::span<const uint8_t> rest(conn->rbuf.data() + off,
                                   conn->rbuf.size() - off);
     size_t frame_bytes = 0;
@@ -444,16 +515,20 @@ void InflexServer::ReadFrom(Connection* conn) {
       resp.message = peek.message();
       RespondNow(conn, conn->next_seq_in++, resp);
       conn->close_after_flush = true;
-      conn->rbuf.clear();
-      return;
+      conn->poisoned = true;
+      break;
     }
     if (frame_bytes == 0 || rest.size() < frame_bytes) break;
     HandleFrame(conn,
                 rest.subspan(kFrameHeaderBytes, frame_bytes - kFrameHeaderBytes));
     off += frame_bytes;
-    if (conn->close_after_flush) break;  // stop parsing a poisoned stream
   }
-  if (off > 0) conn->rbuf.erase(conn->rbuf.begin(), conn->rbuf.begin() + off);
+  if (conn->poisoned) {
+    conn->rbuf.clear();
+  } else if (off > 0) {
+    conn->rbuf.erase(conn->rbuf.begin(), conn->rbuf.begin() + off);
+  }
+  FlushConnection(conn);
 }
 
 void InflexServer::HandleFrame(Connection* conn,
@@ -469,6 +544,7 @@ void InflexServer::HandleFrame(Connection* conn,
     resp.message = decoded.status().message();
     RespondNow(conn, seq, resp);
     conn->close_after_flush = true;
+    conn->poisoned = true;
     return;
   }
   WireRequest request = std::move(decoded).ValueOrDie();
@@ -553,10 +629,21 @@ void InflexServer::HandleFrame(Connection* conn,
   pending.query.item = std::move(item).ValueOrDie();
   pending.query.k = request.k;
   pending.query.options = request.ToQueryOptions();
+  core::QueryEngine* pending_engine = EngineFor(resolved);
+
+  // A cached answer is a lookup: serve it here, on the thread that decoded
+  // it, instead of paying the queue -> worker -> completion hand-offs. Only
+  // misses are admitted to the queue.
+  if (std::optional<core::QueryResult> hit =
+          pending_engine->LookupCached(pending.query)) {
+    counters_.queries_ok.fetch_add(1, std::memory_order_relaxed);
+    RespondNow(conn, seq, AnswerResponse(*hit));
+    return;
+  }
+
   pending.deadline_ms = request.deadline_ms != 0 ? request.deadline_ms
                                                  : options_.default_deadline_ms;
   pending.tenant = resolved;
-  core::QueryEngine* pending_engine = EngineFor(resolved);
 
   std::vector<Completion> expired;
   const bool admitted = TryAdmit(std::move(pending), &expired);
@@ -625,8 +712,13 @@ WireResponse InflexServer::HandleDelta(
 
 void InflexServer::RespondNow(Connection* conn, uint64_t seq,
                               const WireResponse& resp) {
-  conn->parked.emplace(seq, EncodeResponseFrame(resp));
-  FlushConnection(conn);
+  Park(conn, seq, EncodeResponseFrame(resp));
+}
+
+void InflexServer::Park(Connection* conn, uint64_t seq,
+                        std::vector<uint8_t> frame) {
+  conn->parked_bytes += frame.size();
+  conn->parked.emplace(seq, std::move(frame));
 }
 
 void InflexServer::FlushConnection(Connection* conn) {
@@ -635,6 +727,7 @@ void InflexServer::FlushConnection(Connection* conn) {
     auto it = conn->parked.find(conn->next_seq_out);
     if (it == conn->parked.end()) break;
     conn->wbuf.insert(conn->wbuf.end(), it->second.begin(), it->second.end());
+    conn->parked_bytes -= it->second.size();
     pending_write_bytes_.fetch_add(it->second.size(),
                                    std::memory_order_acq_rel);
     conn->parked.erase(it);
@@ -661,6 +754,7 @@ void InflexServer::FlushConnection(Connection* conn) {
     conn->wbuf.clear();
     conn->woff = 0;
   }
+  RaisePeak(write_backlog_peak_, UnsentBytes(*conn));
 }
 
 void InflexServer::DrainCompletions(IoLoopState* loop) {
@@ -669,15 +763,24 @@ void InflexServer::DrainCompletions(IoLoopState* loop) {
     std::lock_guard<std::mutex> lock(loop->completions_mu);
     batch.swap(loop->completions);
   }
-  for (Completion& c : batch) {
-    auto it = loop->connections.find(c.conn_id);
-    if (it != loop->connections.end()) {
-      Connection* conn = it->second.get();
-      conn->parked.emplace(c.seq, std::move(c.frame));
+  if (batch.empty()) return;
+  // Park each connection's whole share of the batch, then flush it once.
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const Completion& a, const Completion& b) {
+                     return a.conn_id < b.conn_id;
+                   });
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto it = loop->connections.find(batch[i].conn_id);
+    if (it == loop->connections.end()) continue;
+    Connection* conn = it->second.get();
+    Park(conn, batch[i].seq, std::move(batch[i].frame));
+    if (i + 1 == batch.size() || batch[i + 1].conn_id != batch[i].conn_id) {
       FlushConnection(conn);
     }
-    responses_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
   }
+  // Only now: Stop() reads zero outstanding plus zero pending write bytes as
+  // "everything flushed", and the flushes above fed pending_write_bytes_.
+  responses_outstanding_.fetch_sub(batch.size(), std::memory_order_acq_rel);
 }
 
 void InflexServer::RouteCompletions(std::vector<Completion> completions) {
@@ -867,15 +970,7 @@ void InflexServer::ServeBatch(std::vector<PendingRequest> batch) {
     for (size_t i = 0; i < results.size(); ++i) {
       WireResponse resp;
       if (results[i].ok()) {
-        const core::QueryResult& qr = results[i].ValueOrDie();
-        resp.status = WireStatus::kOk;
-        resp.from_cache = qr.from_cache;
-        resp.epsilon_exact = qr.epsilon_exact;
-        resp.epoch = qr.generation;
-        resp.seeds = qr.seeds;
-        resp.similarity_search_ms = qr.similarity_search_ms;
-        resp.aggregation_ms = qr.aggregation_ms;
-        resp.engine_ms = qr.total_ms;
+        resp = AnswerResponse(results[i].ValueOrDie());
         ++ok;
       } else {
         resp.status = WireStatus::kQueryFailed;

@@ -2,6 +2,7 @@
 #define INFLEX_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -101,9 +102,16 @@ struct ServerStats {
   uint64_t malformed = 0;
   /// Requests rejected with kShuttingDown during drain.
   uint64_t rejected_draining = 0;
+  /// accept() failures other than an empty backlog; out of descriptors
+  /// (EMFILE/ENFILE) or any other resource error pauses accepting for a
+  /// short back-off, so each back-off adds one.
+  uint64_t accept_failures = 0;
   /// Admission-queue depth: current and high-water observed.
   size_t queue_depth = 0;
   size_t queue_depth_peak = 0;
+  /// Largest count of response bytes one connection held that its socket
+  /// had not yet accepted, as seen after a flush (see kMaxUnsentBytes).
+  size_t write_backlog_peak = 0;
   /// One-line operator rendering.
   std::string ToString() const;
 };
@@ -122,11 +130,18 @@ struct ServerStats {
 ///    connection exactly as in the one-loop design. Responses to one
 ///    connection always flush in request order (per-connection sequence
 ///    numbers reorder worker completions), so pipelined clients stay
-///    coherent.
+///    coherent. A query whose answer is already cached is answered by the
+///    loop that decoded it (QueryEngine::LookupCached, queue_ms = 0); only
+///    misses go on to the admission queue. A loop sends to each connection
+///    once per pass: after all frames of one read, and after routing one
+///    batch of completions. A connection holding kMaxUnsentBytes of
+///    responses its client has not read is neither read nor parsed until
+///    it drains below that.
 ///  - **Admission queue**: a bounded FIFO between the IO loops and the
-///    workers. Two watermarks with hysteresis: depth >= high starts
-///    shedding (kOverloaded + retry_after_ms, produced by the IO loop
-///    without touching a worker), and shedding stops once depth <= low.
+///    workers, holding cache misses only. Two watermarks with hysteresis:
+///    depth >= high starts shedding (kOverloaded + retry_after_ms, produced
+///    by the IO loop without touching a worker), and shedding stops once
+///    depth <= low.
 ///    Before shedding, expired-deadline entries are drained from the front
 ///    (kDeadlineExceeded) — the oldest waiting request is the one least
 ///    likely to still have a caller. Workers re-check deadlines at pop.
@@ -170,6 +185,13 @@ class InflexServer {
 
   ServerStats stats() const;
 
+  /// Back-pressure cap on one connection's unsent response bytes (written
+  /// but not yet accepted by the socket, plus responses parked for their
+  /// turn). Far above what a client that reads its answers ever holds; a
+  /// client that pipelines and never reads stops being read instead of
+  /// growing server memory.
+  static constexpr size_t kMaxUnsentBytes = 256 * 1024;
+
  private:
   /// A request admitted to the queue, waiting for a worker. The wire request
   /// is already translated into engine terms (the IO loop validates the
@@ -207,14 +229,21 @@ class InflexServer {
     uint64_t next_seq_in = 0;
     /// Next response sequence to append to wbuf (in-order flush).
     uint64_t next_seq_out = 0;
-    /// Out-of-order worker completions parked until their turn.
+    /// Responses parked until their turn (worker completions arrive out of
+    /// order), and their total size.
     std::map<uint64_t, std::vector<uint8_t>> parked;
+    size_t parked_bytes = 0;
     /// Close once every pending response has flushed (set on malformed
     /// frames — the stream is desynchronized beyond repair — and on peer
     /// EOF).
     bool close_after_flush = false;
     /// The peer shut its write side; stop polling for reads.
     bool saw_eof = false;
+    /// Parsing stopped at kMaxUnsentBytes; rbuf may still hold complete
+    /// frames, parsed once the client has read enough.
+    bool read_paused = false;
+    /// A malformed frame desynchronized the stream: parse nothing more.
+    bool poisoned = false;
     /// Fatal socket error: close at the next IoLoop sweep. Set instead of
     /// closing inline so helpers never invalidate a Connection* their
     /// caller still holds.
@@ -236,8 +265,15 @@ class InflexServer {
     /// Loop-thread-only state.
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections;
     uint64_t next_conn_id = 1;
+    /// After a failed accept() the listen socket stays out of poll until
+    /// this time (a pending connection would otherwise keep it readable and
+    /// the loop would spin on the error).
+    std::chrono::steady_clock::time_point accept_resume_at{};
   };
   static constexpr size_t kMaxIoThreads = 64;
+  /// How long the listen socket leaves poll after accept() fails for want
+  /// of descriptors or memory.
+  static constexpr std::chrono::milliseconds kAcceptBackoff{100};
   static constexpr unsigned kConnIdLoopShift = 48;
 
   static size_t LoopOf(uint64_t conn_id) { return conn_id >> kConnIdLoopShift; }
@@ -247,12 +283,22 @@ class InflexServer {
 
   /// IO-loop helpers (each call runs on the loop's own thread).
   void AcceptNew(IoLoopState* loop);
+  /// Reads what the socket holds (nothing while over kMaxUnsentBytes), then
+  /// parses it.
   void ReadFrom(Connection* conn);
+  /// Handles every complete frame in rbuf, stopping at kMaxUnsentBytes, and
+  /// flushes the connection once.
+  void ParseFrames(Connection* conn);
   void HandleFrame(Connection* conn, std::span<const uint8_t> payload);
   void CloseConnection(IoLoopState* loop, uint64_t conn_id);
-  /// Routes a loop-generated response (shed, malformed, ping, delta
-  /// receipt, shutdown) through the ordered flush path.
+  /// Parks a loop-generated response (cache hit, shed, malformed, ping,
+  /// delta receipt, shutdown) for the ordered flush path; the caller
+  /// flushes once per pass.
   void RespondNow(Connection* conn, uint64_t seq, const WireResponse& resp);
+  static void Park(Connection* conn, uint64_t seq, std::vector<uint8_t> frame);
+  static size_t UnsentBytes(const Connection& conn) {
+    return conn.wbuf.size() - conn.woff + conn.parked_bytes;
+  }
   /// Appends every in-order parked response to wbuf and writes what the
   /// socket accepts.
   void FlushConnection(Connection* conn);
@@ -323,6 +369,7 @@ class InflexServer {
 
   std::atomic<size_t> queue_depth_{0};
   std::atomic<size_t> queue_depth_peak_{0};
+  std::atomic<size_t> write_backlog_peak_{0};
 
   /// ServerStats counters as relaxed atomics: bumped on the request path by
   /// IO loops and workers without any shared mutex; stats() assembles a
@@ -340,6 +387,7 @@ class InflexServer {
     std::atomic<uint64_t> deadline_expired{0};
     std::atomic<uint64_t> malformed{0};
     std::atomic<uint64_t> rejected_draining{0};
+    std::atomic<uint64_t> accept_failures{0};
   };
   mutable Counters counters_;
 

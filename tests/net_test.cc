@@ -7,10 +7,16 @@
 // the wire, and a multi-client loopback storm with live generation
 // publishing whose every answer is replayed bit-for-bit against the
 // generation that served it (run under TSan by run_sanitized_stress.sh).
+// Cache hits answered on the IO loop keep request order, stats, tenant
+// budgets and drain semantics; a client that never reads is bounded by
+// back-pressure; an accept loop out of descriptors backs off.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -21,6 +27,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -343,9 +350,14 @@ struct RawConn {
     }
   }
 
-  bool Connect(uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the socket's receive buffer (set before connect,
+  /// so the advertised window is small from the start).
+  bool Connect(uint16_t port, int rcvbuf = 0) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return false;
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     timeval tv{10, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
@@ -401,7 +413,17 @@ struct RawConn {
     uint8_t b;
     return ::recv(fd, &b, 1, 0) == 0;
   }
+
+  /// True when bytes (or EOF) arrive within `ms`.
+  bool ReadableWithin(int ms) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, ms) > 0;
+  }
 };
+
+std::vector<uint8_t> QueryFrame(const core::QueryRequest& request) {
+  return net::EncodeRequestFrame(net::MakeQueryRequest(request));
+}
 
 class NetServingTest : public ::testing::Test {
  protected:
@@ -475,6 +497,15 @@ class NetServingTest : public ::testing::Test {
     r.item = simplex::TopicDistribution::Create({0.7, 0.1, 0.1, 0.1})
                  .ValueOrDie();
     r.k = 5;
+    return r;
+  }
+
+  /// SimpleRequest with the 0.7 on topic `t`: a different cache cell per t.
+  static core::QueryRequest RequestOnTopic(size_t t) {
+    std::vector<double> gamma(4, 0.1);
+    gamma[t] = 0.7;
+    core::QueryRequest r = SimpleRequest();
+    r.item = simplex::TopicDistribution::Create(gamma).ValueOrDie();
     return r;
   }
 
@@ -646,11 +677,14 @@ TEST_F(NetServingTest, ShedsWithOverloadedUnderSaturatingBurst) {
   EXPECT_EQ(shed.ValueOrDie().retry_after_ms, 35u);
 
   // Hysteresis: once drained below the low-water mark, admission resumes.
+  // A mixture not cached yet, so the request goes through the queue
+  // instead of being answered as a cache hit on the IO loop.
   ASSERT_TRUE(WaitFor([&] { return server.stats().queue_depth == 0; }));
-  ASSERT_TRUE(conn.Send(frame));
+  ASSERT_TRUE(conn.Send(QueryFrame(RequestOnTopic(1))));
   auto after = conn.ReadResponse();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.ValueOrDie().status, net::WireStatus::kOk);
+  EXPECT_FALSE(after.ValueOrDie().from_cache);
 
   server.Stop();
   const net::ServerStats stats = server.stats();
@@ -760,6 +794,314 @@ TEST_F(NetServingTest, SaturatedQueueDrainsExpiredBeforeShedding) {
 }
 
 // ---------------------------------------------------------------------------
+// Cache hits answered on the IO loop
+// ---------------------------------------------------------------------------
+
+TEST_F(NetServingTest, CacheHitsAnsweredOnIoLoopWhileWorkersParked) {
+  ThreadPool pool(2);
+  core::QueryEngineOptions eopts;
+  eopts.pool = &pool;
+  eopts.enable_hit_accounting = true;
+  core::QueryEngine engine(index_, eopts);
+  // Serve generation 1, so a hit must report the epoch it was cached under.
+  ASSERT_EQ(engine.PublishIndex(index_), 1u);
+  const core::QueryRequest cached = SimpleRequest();
+  auto want = engine.Query(cached);  // warms the cache in-process
+  ASSERT_TRUE(want.ok());
+  const core::QueryRequest miss = RequestOnTopic(2);
+  auto want_miss = index_->Query(miss.item, miss.k, miss.options);
+  ASSERT_TRUE(want_miss.ok());
+  const std::vector<double> warm_scores = engine.HitScores();
+
+  WorkerGate gate;
+  net::InflexServerOptions sopts;
+  sopts.num_workers = 1;
+  sopts.worker_hook = [&gate] { gate.Hook(); };
+  net::InflexServer server(&engine, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Connection A: a miss parks the only worker; a hit is pipelined after it.
+  RawConn a;
+  ASSERT_TRUE(a.Connect(server.port()));
+  ASSERT_TRUE(a.Send(QueryFrame(miss)));
+  ASSERT_TRUE(WaitFor([&] { return gate.entries.load() == 1; }));
+  ASSERT_TRUE(a.Send(QueryFrame(cached)));
+
+  // Connection B: the same hit is answered although no worker is free.
+  RawConn b;
+  ASSERT_TRUE(b.Connect(server.port()));
+  ASSERT_TRUE(b.Send(QueryFrame(cached)));
+  auto hit = b.ReadResponse();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit.ValueOrDie().status, net::WireStatus::kOk);
+  EXPECT_TRUE(hit.ValueOrDie().from_cache);
+  EXPECT_EQ(hit.ValueOrDie().queue_ms, 0.0);
+  EXPECT_EQ(hit.ValueOrDie().epoch, 1u);
+  EXPECT_EQ(hit.ValueOrDie().seeds, want.ValueOrDie().seeds);
+
+  // A's hit waits for the miss queued ahead of it on the same connection.
+  EXPECT_FALSE(a.ReadableWithin(100));
+  gate.Open();
+  auto first = a.ReadResponse();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.ValueOrDie().status, net::WireStatus::kOk);
+  EXPECT_FALSE(first.ValueOrDie().from_cache);
+  EXPECT_EQ(first.ValueOrDie().seeds, want_miss.ValueOrDie().seeds);
+  auto second = a.ReadResponse();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second.ValueOrDie().from_cache);
+  EXPECT_EQ(second.ValueOrDie().queue_ms, 0.0);
+  EXPECT_EQ(second.ValueOrDie().epoch, 1u);
+  EXPECT_EQ(second.ValueOrDie().seeds, want.ValueOrDie().seeds);
+
+  server.Stop();
+  EXPECT_EQ(server.stats().queries_ok, 3u);
+  // The inline hits are served requests like any other: counted, timed and
+  // credited to the index points behind them.
+  const core::ServingStats stats = engine.cumulative_stats();
+  EXPECT_EQ(stats.num_requests, 3u);
+  EXPECT_EQ(stats.num_ok, 3u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.latency_samples, 3u);
+  EXPECT_GT(stats.mean_ms, 0.0);
+  // Epoch-scoped counters come from the cache itself: the warm-up and the
+  // queued request missed, the two inline answers hit.
+  EXPECT_EQ(stats.epoch_cache_hits, 2u);
+  EXPECT_EQ(stats.epoch_cache_misses, 2u);
+  const std::vector<double> scores = engine.HitScores();
+  const double credited =
+      std::accumulate(scores.begin(), scores.end(), 0.0) -
+      std::accumulate(warm_scores.begin(), warm_scores.end(), 0.0);
+  EXPECT_EQ(credited,
+            static_cast<double>(2 * want.ValueOrDie().neighbors_used.size() +
+                                want_miss.ValueOrDie().neighbors_used.size()));
+}
+
+TEST_F(NetServingTest, CacheHitsPayTheirTenantsBudget) {
+  ThreadPool pool(2);
+  std::atomic<uint64_t> now_ns{0};
+  tenant::TenantRegistry registry;
+  tenant::TenantOptions topts;
+  topts.id = tenant::kDefaultTenantId;
+  topts.engine.pool = &pool;
+  topts.with_maintainer = false;
+  ASSERT_TRUE(registry.CreateTenant(topts, index_, &dataset_->graph).ok());
+  topts.id = "limited";
+  topts.budget.query_rate_per_sec = 10.0;
+  topts.budget.query_burst = 2.0;
+  ASSERT_TRUE(registry.CreateTenant(topts, index_, &dataset_->graph).ok());
+  tenant::TenantRouter::Options ropts;
+  ropts.clock_ns = [&now_ns] { return now_ns.load(); };
+  tenant::TenantRouter router(&registry, ropts);
+  ASSERT_TRUE(
+      registry.Lookup("limited")->engine()->Query(SimpleRequest()).ok());
+
+  net::InflexServerOptions sopts;
+  sopts.router = &router;
+  net::InflexServer server(registry.Resolve("")->engine(), sopts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = net::InflexClient::Connect("127.0.0.1", server.port(), 5000);
+  ASSERT_TRUE(client.ok());
+  client.ValueOrDie().set_tenant("limited");
+
+  // Every request is a hit, and the bucket still admits exactly its burst.
+  for (int i = 0; i < 2; ++i) {
+    auto resp = client.ValueOrDie().Query(SimpleRequest());
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp.ValueOrDie().status, net::WireStatus::kOk) << "query " << i;
+    EXPECT_TRUE(resp.ValueOrDie().from_cache) << "query " << i;
+  }
+  auto shed = client.ValueOrDie().Query(SimpleRequest());
+  ASSERT_TRUE(shed.ok());
+  EXPECT_EQ(shed.ValueOrDie().status, net::WireStatus::kOverloaded);
+
+  server.Stop();
+  const tenant::TenantStats lstats = registry.Lookup("limited")->Snapshot();
+  EXPECT_EQ(lstats.queries_admitted, 2u);
+  EXPECT_EQ(lstats.queries_shed, 1u);
+  EXPECT_EQ(lstats.serving.num_requests, 2u);
+  EXPECT_EQ(lstats.serving.cache_hits, 2u);
+  // The hits were served by the limited tenant's engine, not the default's.
+  EXPECT_EQ(registry.Resolve("")->Snapshot().serving.num_requests, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Misbehaving clients: never reading, exhausting descriptors
+// ---------------------------------------------------------------------------
+
+TEST_F(NetServingTest, NeverReadingPipelinerIsHeldUnderTheWriteCap) {
+  ThreadPool pool(2);
+  core::QueryEngineOptions eopts;
+  eopts.pool = &pool;
+  core::QueryEngine engine(index_, eopts);
+  // Distinct cached answers, so the order of the responses is checkable.
+  std::vector<core::QueryRequest> cells;
+  std::vector<std::vector<uint32_t>> answers;
+  Rng rng(4242);
+  for (size_t i = 0; i < 64; ++i) {
+    core::QueryRequest r = SimpleRequest();
+    r.item = simplex::TopicDistribution::Create(
+                 simplex::SampleUniformSimplex(4, &rng))
+                 .ValueOrDie();
+    auto got = engine.Query(r);
+    ASSERT_TRUE(got.ok());
+    cells.push_back(std::move(r));
+    answers.push_back(got.ValueOrDie().seeds);
+  }
+  net::InflexServer server(&engine);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Enough pipelined hits that their answers overflow what the kernel
+  // buffers on both ends of a small-window connection plus the cap.
+  constexpr size_t kRequests = 40000;
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kRequests; ++i) {
+    const std::vector<uint8_t> frame = QueryFrame(cells[i % cells.size()]);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server.port(), /*rcvbuf=*/4096));
+  // The server stops reading once over the cap, so this send blocks until
+  // the responses are read below.
+  bool sent = false;
+  std::thread sender([&] {
+    sent = conn.Send(burst);
+    ::shutdown(conn.fd, SHUT_WR);
+  });
+  struct Joiner {
+    std::thread* t;
+    int fd;
+    ~Joiner() {
+      if (t->joinable()) {
+        ::shutdown(fd, SHUT_RDWR);  // a failed assertion must not hang here
+        t->join();
+      }
+    }
+  } joiner{&sender, conn.fd};
+  ASSERT_TRUE(WaitFor([&] {
+    return server.stats().write_backlog_peak >=
+           net::InflexServer::kMaxUnsentBytes;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Parsing stops at the cap, so it is overshot by at most one response;
+  // one read's worth (16 KiB) is the bound the design promises.
+  EXPECT_LE(server.stats().write_backlog_peak,
+            net::InflexServer::kMaxUnsentBytes + 16 * 1024);
+
+  for (size_t i = 0; i < kRequests; ++i) {
+    auto resp = conn.ReadResponse();
+    ASSERT_TRUE(resp.ok()) << "response " << i << ": "
+                           << resp.status().ToString();
+    ASSERT_EQ(resp.ValueOrDie().status, net::WireStatus::kOk)
+        << "response " << i;
+    ASSERT_EQ(resp.ValueOrDie().seeds, answers[i % answers.size()])
+        << "response " << i << " out of order";
+  }
+  sender.join();
+  EXPECT_TRUE(sent);
+  // Every frame sent before the half-close was answered, then the server
+  // closed the connection.
+  EXPECT_TRUE(conn.AtEof());
+  server.Stop();
+  EXPECT_EQ(server.stats().queries_ok, kRequests);
+  EXPECT_LE(server.stats().write_backlog_peak,
+            net::InflexServer::kMaxUnsentBytes + 16 * 1024);
+}
+
+TEST_F(NetServingTest, AcceptBacksOffWhileOutOfDescriptors) {
+  ThreadPool pool(2);
+  core::QueryEngineOptions eopts;
+  eopts.pool = &pool;
+  core::QueryEngine engine(index_, eopts);
+  net::InflexServer server(&engine);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The client's socket exists before the descriptors run out; the
+  // server's accept() of it then fails with EMFILE.
+  RawConn client;
+  client.fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client.fd, 0);
+  timeval tv{10, 0};
+  ::setsockopt(client.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+  // Lower this process's descriptor limit a little above the lowest free
+  // descriptor and fill every slot below it. Restored on every exit path.
+  struct Exhaustion {
+    rlimit saved{};
+    std::vector<int> fillers;
+    bool lowered = false;
+    void Release() {
+      for (int fd : fillers) ::close(fd);
+      fillers.clear();
+      if (lowered) ::setrlimit(RLIMIT_NOFILE, &saved);
+      lowered = false;
+    }
+    ~Exhaustion() { Release(); }
+  } exhaustion;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &exhaustion.saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit low = exhaustion.saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free) + 8;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  exhaustion.lowered = true;
+  while (true) {
+    const int fd = ::open("/dev/null", O_RDONLY);
+    if (fd < 0) break;
+    exhaustion.fillers.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(client.fd, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);  // completes in the kernel backlog
+  // Exactly two 16 KiB reads of pings, then the half-close, all queued
+  // before the server can accept: its first read takes two full chunks and
+  // then sees EOF, and every frame before it must still be answered.
+  net::WireRequest ping;
+  ping.type = net::MessageType::kPing;
+  const size_t ping_bytes = net::EncodeRequestFrame(ping).size();
+  constexpr size_t kBurstBytes = 2 * 16 * 1024;
+  const size_t pings = kBurstBytes / ping_bytes - 1;
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < pings; ++i) {
+    const std::vector<uint8_t> frame = net::EncodeRequestFrame(ping);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::WireRequest padded = ping;
+  padded.delta_id.assign(kBurstBytes - burst.size() - ping_bytes, 'x');
+  const std::vector<uint8_t> last = net::EncodeRequestFrame(padded);
+  burst.insert(burst.end(), last.begin(), last.end());
+  ASSERT_EQ(burst.size(), kBurstBytes);
+  ASSERT_TRUE(client.Send(burst));
+  ASSERT_EQ(::shutdown(client.fd, SHUT_WR), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // One failure per 100 ms back-off (about 5 here); a loop that polled the
+  // readable listen socket again at once would count thousands.
+  const uint64_t failures = server.stats().accept_failures;
+  EXPECT_GE(failures, 1u);
+  EXPECT_LE(failures, 10u);
+  EXPECT_EQ(server.stats().connections_accepted, 0u);
+
+  // With descriptors back, the waiting connection is accepted and served.
+  exhaustion.Release();
+  for (size_t i = 0; i <= pings; ++i) {
+    auto resp = client.ReadResponse();
+    ASSERT_TRUE(resp.ok()) << "ping " << i << ": " << resp.status().ToString();
+    EXPECT_EQ(resp.ValueOrDie().status, net::WireStatus::kOk);
+  }
+  EXPECT_TRUE(client.AtEof());
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
 // Graceful shutdown
 // ---------------------------------------------------------------------------
 
@@ -768,6 +1110,9 @@ TEST_F(NetServingTest, GracefulShutdownAnswersInFlightRequests) {
   core::QueryEngineOptions eopts;
   eopts.pool = &pool;
   core::QueryEngine engine(index_, eopts);
+  // Cached, so the idle connection's request below would be answered on
+  // the IO loop if draining did not reject it first.
+  ASSERT_TRUE(engine.Query(SimpleRequest()).ok());
 
   WorkerGate gate;
   net::InflexServerOptions sopts;
@@ -780,8 +1125,7 @@ TEST_F(NetServingTest, GracefulShutdownAnswersInFlightRequests) {
   // One request in flight (its worker parked), one idle connection.
   RawConn in_flight;
   ASSERT_TRUE(in_flight.Connect(port));
-  ASSERT_TRUE(in_flight.Send(
-      net::EncodeRequestFrame(net::MakeQueryRequest(SimpleRequest()))));
+  ASSERT_TRUE(in_flight.Send(QueryFrame(RequestOnTopic(3))));
   ASSERT_TRUE(WaitFor([&] { return gate.entries.load() == 1; }));
   RawConn idle;
   ASSERT_TRUE(idle.Connect(port));
@@ -812,6 +1156,7 @@ TEST_F(NetServingTest, GracefulShutdownAnswersInFlightRequests) {
   const net::ServerStats stats = server.stats();
   EXPECT_EQ(stats.queries_ok, 1u);
   EXPECT_EQ(stats.rejected_draining, 1u);
+  EXPECT_EQ(engine.cumulative_stats().cache_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -910,7 +1255,8 @@ TEST_F(NetServingTest, LoopbackStormWithLivePublishingRepliesBitIdentical) {
   const uint16_t port = server.port();
 
   constexpr size_t kClients = 6;
-  constexpr size_t kPerClient = 25;
+  constexpr size_t kPerClient = 50;
+  std::atomic<size_t> cached_answers{0};
   struct Answer {
     core::QueryRequest request;
     uint64_t epoch;
@@ -938,9 +1284,12 @@ TEST_F(NetServingTest, LoopbackStormWithLivePublishingRepliesBitIdentical) {
       // No segment masks in the storm: masked requests can legitimately
       // fail, and failure responses carry a best-effort epoch that the
       // per-generation replay below could not pin down under churn.
-      auto workload = MakeWorkload(kPerClient, 1000 + t);
+      // Each request goes out twice: the repeat is normally a cache hit,
+      // answered on the IO loop while deltas publish new generations.
+      auto workload = MakeWorkload(kPerClient / 2, 1000 + t);
       for (auto& r : workload) r.options.segment_mask.clear();
-      for (const core::QueryRequest& request : workload) {
+      for (size_t i = 0; i < kPerClient; ++i) {
+        const core::QueryRequest& request = workload[i / 2];
         auto resp = client.ValueOrDie().Query(request);
         if (!resp.ok()) {
           record_failure("query transport: " + resp.status().ToString());
@@ -953,6 +1302,7 @@ TEST_F(NetServingTest, LoopbackStormWithLivePublishingRepliesBitIdentical) {
               resp.ValueOrDie().message);
           return;
         }
+        if (resp.ValueOrDie().from_cache) cached_answers.fetch_add(1);
         answers[t].push_back(Answer{request, resp.ValueOrDie().epoch,
                                     resp.ValueOrDie().seeds});
       }
@@ -987,6 +1337,7 @@ TEST_F(NetServingTest, LoopbackStormWithLivePublishingRepliesBitIdentical) {
   for (auto& c : clients) c.join();
   delta_thread.join();
   ASSERT_EQ(transport_failures.load(), 0u) << failure_detail;
+  EXPECT_GT(cached_answers.load(), 0u);
 
   server.Stop();  // drains the maintainer too
   EXPECT_FALSE(server.running());
